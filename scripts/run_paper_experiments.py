@@ -9,7 +9,7 @@ the overlay files used for the standard figures:
   out/saturated/ legacy two-phase controller vs. the concave barrier law
                  under actuator saturation (escape overlay)
 
-Usage: python3 scripts/run_paper_experiments.py [--out OUT] [--jobs N]
+Usage: python3 scripts/run_paper_experiments.py [--out OUT]
 """
 
 import argparse
@@ -32,15 +32,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=REPO / "out",
                     help="output directory (default: ./out)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel experiment workers")
     args = ap.parse_args(argv)
 
     any_failed = False
     for campaign, (cfg, figures) in CAMPAIGNS.items():
         specs = experiment.load_config(cfg)
         out_dir = args.out / campaign
-        summary = experiment.run_batch(specs, out_dir, jobs=args.jobs)
+        summary = experiment.run_batch(specs, out_dir)
         traj_files = [out_dir / f"{s.name}.csv" for s in specs]
         for fig in figures:
             experiment.emit_plot_data(traj_files, fig,

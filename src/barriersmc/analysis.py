@@ -13,12 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.controllers import KInfty, SaturatedKInfty, TbgIntegral
 from barriersmc.gains import (
-    ConcaveParams,
-    ConvexParams,
     GainLaw,
-    UnsupportedVariantError,
     eval_gain,
     gain_inverse,
     ultimate_bound,
@@ -125,6 +121,17 @@ def default_chatter_window(traj: Trajectory) -> Tuple[float, float]:
     return ((1.0 - DEFAULT_CHATTER_FRACTION) * t_end, t_end)
 
 
+def settled_peak_gain(traj: Trajectory, t_conv: float) -> Optional[Tuple[float, float]]:
+    """(t, gain) at the largest commanded gain from t_conv plus the settle
+    pad on; None when the pad leaves no samples."""
+    mask = traj.t >= t_conv + SETTLE_PAD
+    if not mask.any():
+        return None
+    gains = traj.gain[mask]
+    worst = int(np.argmax(gains))
+    return float(traj.t[mask][worst]), float(gains[worst])
+
+
 def overestimation_check(
     traj: Trajectory,
     d_bar: float,
@@ -138,13 +145,10 @@ def overestimation_check(
     report = convergence_time(traj, sigma)
     if report.t_conv is None:
         raise NoConvergenceError(f"no permanent entry into |s| <= {sigma:g}")
-    mask = traj.t >= report.t_conv + SETTLE_PAD
-    if not mask.any():
+    peak = settled_peak_gain(traj, report.t_conv)
+    if peak is None:
         raise ValueError("settle pad leaves no post-convergence samples")
-    gains = traj.gain[mask]
-    worst = int(np.argmax(gains))
-    worst_gain = float(gains[worst])
-    worst_t = float(traj.t[mask][worst])
+    worst_t, worst_gain = peak
     return OverestimationReport(worst_gain <= d_bar + margin, worst_t, worst_gain)
 
 
@@ -152,15 +156,14 @@ def sat_time_bound(s0: float, law: GainLaw, k_max: float, d_bar: float) -> float
     """Conservative two-phase convergence-time bound for the gain-capped
     relay: linear descent at k_max - d_bar down to sigma_s = K^{-1}(k_max),
     then descent at K(s*) - d_bar with s* the midpoint of the remaining
-    interval. Empirically validated, not asserted tight.
+    interval. Empirically validated, not asserted tight. Raises
+    UnsupportedVariantError for a law without an inverse.
     """
-    if not isinstance(law, (ConcaveParams, ConvexParams)):
-        raise UnsupportedVariantError("bound defined for concave/convex laws only")
+    sigma1 = gain_inverse(law, d_bar)
     if not (k_max > d_bar):
         raise AssumptionViolatedError(
             f"k_max = {k_max:g} must exceed d_bar = {d_bar:g}"
         )
-    sigma1 = gain_inverse(law, d_bar)
     sigma_s = gain_inverse(law, k_max)
     a0 = abs(s0)
     if a0 <= sigma1:
@@ -177,12 +180,12 @@ def sat_time_bound(s0: float, law: GainLaw, k_max: float, d_bar: float) -> float
 
 
 def _law_of(traj: Trajectory) -> GainLaw:
-    spec = traj.controller
-    if isinstance(spec, (KInfty, SaturatedKInfty, TbgIntegral)):
-        return spec.law
-    raise InvalidComparisonError(
-        f"controller {type(spec).__name__} has no class-Kinf gain law"
-    )
+    law = getattr(traj.controller, "law", None)
+    if law is None:
+        raise InvalidComparisonError(
+            f"controller {type(traj.controller).__name__} has no class-Kinf gain law"
+        )
+    return law
 
 
 @dataclass(frozen=True)

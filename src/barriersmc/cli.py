@@ -2,7 +2,7 @@
 
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, 3 simulation
-diverged.
+diverged or its disturbance exceeded d_bar.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 
 from barriersmc import experiment
 from barriersmc.experiment import ConfigError
+from barriersmc.simkernel import DisturbanceBoundError, SimulationDiverged
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -30,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a batch of experiments")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1)
 
     p_sweep = sub.add_parser("sweep", help="sweep gain-law parameters")
     p_sweep.add_argument("config")
@@ -76,7 +76,7 @@ def _parse_grid(text: str):
 
 def _cmd_run(args) -> int:
     specs = experiment.load_config(args.config)
-    summary = experiment.run_batch(specs, args.out, jobs=args.jobs)
+    summary = experiment.run_batch(specs, args.out)
     sys.stdout.write(experiment.summary_csv(summary))
     if summary.any_diverged:
         return EXIT_DIVERGED
@@ -130,6 +130,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (SimulationDiverged, DisturbanceBoundError) as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

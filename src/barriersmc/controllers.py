@@ -15,7 +15,6 @@ from typing import Optional, Union
 from barriersmc.gains import (
     ConcaveParams,
     ConvexParams,
-    FixedGain,
     GainLaw,
     PsbParams,
     eval_gain,
@@ -78,26 +77,29 @@ def tbg_z_closed_form(t: float, s0: float, p: TbgParams) -> float:
 
 
 @dataclass(frozen=True)
-class KInfty:
-    """Pure class-Kinf relay u = -K(|s|) sign(s)."""
+class _KinfLawSpec:
+    """Base of the descriptors driven by a class-Kinf gain law `law`."""
 
     law: GainLaw
 
     def __post_init__(self) -> None:
         if not isinstance(self.law, (ConcaveParams, ConvexParams)):
-            raise ValueError("KInfty requires a concave or convex gain law")
+            raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
 
 @dataclass(frozen=True)
-class SaturatedKInfty:
+class KInfty(_KinfLawSpec):
+    """Pure class-Kinf relay u = -K(|s|) sign(s)."""
+
+
+@dataclass(frozen=True)
+class SaturatedKInfty(_KinfLawSpec):
     """Class-Kinf relay with the commanded gain capped at k_max."""
 
-    law: GainLaw
     k_max: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.law, (ConcaveParams, ConvexParams)):
-            raise ValueError("SaturatedKInfty requires a concave or convex gain law")
+        super().__post_init__()
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError(f"k_max must be positive, got {self.k_max!r}")
 
@@ -112,7 +114,7 @@ class ObeidTwoPhase:
 
 
 @dataclass(frozen=True)
-class TbgIntegral:
+class TbgIntegral(_KinfLawSpec):
     """Integral design u = -kg(t)*z - K(|e|) sign(e) with e = s - z and
     auxiliary state z' = -kg(t)*z started at z(0) = s(0).
 
@@ -121,12 +123,7 @@ class TbgIntegral:
     with the same sign convention slots into the same place.
     """
 
-    law: GainLaw
     tbg: TbgParams
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.law, (ConcaveParams, ConvexParams)):
-            raise ValueError("TbgIntegral requires a concave or convex gain law")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Config format: INI sections, one experiment per section. The schema is
 strict: unknown keys and missing required keys are rejected with the
 section and field named, so a typo fails loudly instead of silently
 simulating the wrong controller. Numeric fields are plain floats
-(scientific notation accepted); booleans are true/false.
+(scientific notation accepted); booleans are true/false. One schema
+table, below, drives both `loads_config` and `dumps_config`.
 
 Section keys
 ------------
@@ -16,8 +17,12 @@ controller   kinfty | saturated | obeid | tbg | fixed_sign
   tbg:        law, rho, lam, t_f, delta
   fixed_sign: k
 disturbance  piecewise_vii | sin_two | sinusoid | custom
+  sin_two:    alias for sinusoid with amplitude 2, omega 1, phase_rad 0;
+              `dumps_config` writes it back as that sinusoid
   sinusoid:   amplitude, omega, phase_rad
-  custom:     table_t, table_d (comma-separated floats)
+  custom:     table_t, table_d (comma-separated floats); the table must
+              cover every sample time, [0, n_steps * h], and its values
+              must stay within d_bar
 d_bar        declared disturbance bound (required)
 s0, h, t_end plant initial condition, step, horizon (required)
 u_max        optional actuator limit on |u|
@@ -26,15 +31,16 @@ chatter_t0, chatter_t1   optional chattering window (both or neither)
 expect_t_conv_max, expect_sigma_max, expect_gain_max_post,
 expect_final_inside, expect_escapes_all_reenter,
 expect_no_reentry_after_last_escape   optional declared expectations
+
+A simulation that diverges or whose disturbance exceeds d_bar does not
+raise out of `run_experiment`: it becomes an `error` row of the summary.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,13 +65,14 @@ from barriersmc.gains import (
 )
 from barriersmc.simkernel import (
     CustomTable,
+    DisturbanceBoundError,
     DisturbanceSpec,
     PiecewiseVII,
     SimConfig,
-    SinTwo,
     Sinusoid,
     SimulationDiverged,
     Trajectory,
+    n_steps,
     simulate,
 )
 
@@ -89,9 +96,6 @@ class Expectations:
     escapes_all_reenter: Optional[bool] = None
     no_reentry_after_last_escape: Optional[bool] = None
 
-    def any_declared(self) -> bool:
-        return any(v is not None for v in vars(self).values())
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -103,33 +107,28 @@ class ExperimentSpec:
     chatter_window: Optional[Tuple[float, float]] = None
     expect: Expectations = field(default_factory=Expectations)
 
+    def __post_init__(self) -> None:
+        if self.sigma_target is not None and not self.sigma_target > 0:
+            raise ValueError("sigma_target must be positive")
+        if self.chatter_window is not None:
+            t0, t1 = self.chatter_window
+            if not 0.0 <= t0 < t1 <= self.sim.t_end:
+                raise ValueError("chattering window must satisfy 0 <= t0 < t1 <= t_end")
+        if self.expect != Expectations() and self.sigma_target is None:
+            raise ValueError("declared expectations require sigma_target")
+        table = self.disturbance.signal
+        if isinstance(table, CustomTable):
+            # the last sample time, computed as simulate computes it
+            t_last = n_steps(self.sim) * self.sim.h
+            if table.times[0] > 0.0 or table.times[-1] < t_last:
+                raise ValueError(f"custom table does not cover the samples [0, {t_last!r}]")
 
-# --- config parsing --------------------------------------------------------
 
-_LAWS = {"concave", "convex"}
-_CONTROLLER_KEYS = {
-    "kinfty": {"law", "rho", "lam"},
-    "saturated": {"law", "rho", "lam", "k_max"},
-    "obeid": {"epsilon", "k_bar"},
-    "tbg": {"law", "rho", "lam", "t_f", "delta"},
-    "fixed_sign": {"k"},
-}
-_DISTURBANCE_KEYS = {
-    "piecewise_vii": set(),
-    "sin_two": set(),
-    "sinusoid": {"amplitude", "omega", "phase_rad"},
-    "custom": {"table_t", "table_d"},
-}
-_COMMON_REQUIRED = {"controller", "disturbance", "d_bar", "s0", "h", "t_end"}
-_COMMON_OPTIONAL = {
-    "u_max", "sigma_target", "chatter_t0", "chatter_t1",
-    "expect_t_conv_max", "expect_sigma_max", "expect_gain_max_post",
-    "expect_final_inside", "expect_escapes_all_reenter",
-    "expect_no_reentry_after_last_escape",
-}
-
+# --- config schema ---------------------------------------------------------
 
 class _Section:
+    """The keys of one config section that are not read yet."""
+
     def __init__(self, name: str, items: Dict[str, str]):
         self.name = name
         self.items = dict(items)
@@ -140,18 +139,15 @@ class _Section:
         except KeyError:
             raise ConfigError(f"[{self.name}] missing required key '{key}'") from None
 
-    def take_opt(self, key: str) -> Optional[str]:
-        return self.items.pop(key, None)
-
     def take_float(self, key: str) -> float:
         return self._float(key, self.take(key))
 
     def take_opt_float(self, key: str) -> Optional[float]:
-        raw = self.take_opt(key)
+        raw = self.items.pop(key, None)
         return None if raw is None else self._float(key, raw)
 
     def take_opt_bool(self, key: str) -> Optional[bool]:
-        raw = self.take_opt(key)
+        raw = self.items.pop(key, None)
         if raw is None:
             return None
         if raw.lower() in ("true", "false"):
@@ -170,117 +166,146 @@ class _Section:
         return v
 
     def take_float_list(self, key: str) -> Tuple[float, ...]:
-        raw = self.take(key)
-        return tuple(self._float(key, part.strip()) for part in raw.split(","))
+        parts = self.take(key).split(",")
+        try:  # float() ignores the blanks around each entry
+            values = tuple(map(float, parts))
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        return tuple(self._float(key, part.strip()) for part in parts)  # names the bad entry
 
 
-def _parse_controller(sec: _Section) -> ControllerSpec:
-    kind = sec.take("controller")
-    if kind not in _CONTROLLER_KEYS:
-        raise ConfigError(
-            f"[{sec.name}] unknown controller '{kind}' "
-            f"(expected one of {sorted(_CONTROLLER_KEYS)})"
-        )
+class _Key:
+    """One config key: the `_Section` method that reads it and the function
+    that writes its value back. A None value (an absent optional key) is not
+    written."""
 
-    def law():
-        variant = sec.take("law")
-        if variant not in _LAWS:
-            raise ConfigError(
-                f"[{sec.name}] unknown law '{variant}' (expected concave|convex)"
-            )
-        rho = sec.take_float("rho")
-        lam = sec.take_float("lam")
-        if variant == "concave":
-            return ConcaveParams(rho, lam)
-        return ConvexParams(rho, lam)
+    def __init__(self, name, read=_Section.take_float, write=repr):
+        self.name, self.read, self.write = name, read, write
 
-    try:
-        if kind == "kinfty":
-            return KInfty(law())
-        if kind == "saturated":
-            return SaturatedKInfty(law(), sec.take_float("k_max"))
-        if kind == "obeid":
-            return ObeidTwoPhase(PsbParams(sec.take_float("epsilon"),
-                                           sec.take_float("k_bar")))
-        if kind == "tbg":
-            return TbgIntegral(law(), TbgParams(sec.take_float("t_f"),
-                                                sec.take_float("delta")))
-        return FixedSign(sec.take_float("k"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[{sec.name}] invalid controller parameters: {exc}") from exc
+    def parse(self, sec: _Section):
+        return self.read(sec, self.name)
+
+    def dump(self, value, out: List[str]) -> None:
+        if value is not None:
+            out.append(f"{self.name} = {self.write(value)}\n")
 
 
-def _parse_disturbance(sec: _Section) -> DisturbanceSpec:
-    kind = sec.take("disturbance")
-    if kind not in _DISTURBANCE_KEYS:
-        raise ConfigError(
-            f"[{sec.name}] unknown disturbance '{kind}' "
-            f"(expected one of {sorted(_DISTURBANCE_KEYS)})"
-        )
-    try:
-        if kind == "piecewise_vii":
-            signal = PiecewiseVII()
-        elif kind == "sin_two":
-            signal = SinTwo()
-        elif kind == "sinusoid":
-            signal = Sinusoid(sec.take_float("amplitude"), sec.take_float("omega"),
-                              sec.take_float("phase_rad"))
-        else:
-            signal = CustomTable(sec.take_float_list("table_t"),
-                                 sec.take_float_list("table_d"))
-        return DisturbanceSpec(signal, sec.take_float("d_bar"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[{sec.name}] invalid disturbance: {exc}") from exc
+class _Record:
+    """A dataclass and one schema node per field, in field order. A node is
+    anything with `parse` and `dump`; a plain string stands for a `_Key`
+    holding one float."""
 
+    def __init__(self, cls, *keys):
+        self.cls = cls
+        keys = [_Key(k) if isinstance(k, str) else k for k in keys]
+        self.keys = tuple(zip(keys, (f.name for f in fields(cls)), strict=True))
+
+    def parse(self, sec: _Section):
+        values = [key.parse(sec) for key, _ in self.keys]
+        try:
+            return self.cls(*values)
+        except ValueError as exc:
+            raise ConfigError(f"[{sec.name}] invalid {self.cls.__name__}: {exc}") from exc
+
+    def dump(self, obj, out: List[str]) -> None:
+        for key, name in self.keys:
+            key.dump(getattr(obj, name), out)
+
+
+class _Family:
+    """Variants chosen by the value of one key: config name -> `_Record`,
+    plus aliases, config names that stand for one fixed value."""
+
+    def __init__(self, key: str, variants: Dict[str, _Record], aliases=None):
+        self.key = key
+        self.variants = variants
+        self.aliases = aliases or {}
+        self.by_class = {rec.cls: (f"{key} = {name}\n", rec) for name, rec in variants.items()}
+
+    def parse(self, sec: _Section):
+        name = sec.take(self.key)
+        if name in self.aliases:
+            return self.aliases[name]
+        if name not in self.variants:
+            raise ConfigError(f"[{sec.name}] unknown {self.key} '{name}' (expected one "
+                              f"of {sorted([*self.variants, *self.aliases])})")
+        return self.variants[name].parse(sec)
+
+    def dump(self, obj, out: List[str]) -> None:
+        line, rec = self.by_class[type(obj)]
+        out.append(line)
+        rec.dump(obj, out)
+
+
+class _Window:
+    """The optional chattering window: two keys, both or neither."""
+
+    keys = (_Key("chatter_t0", _Section.take_opt_float),
+            _Key("chatter_t1", _Section.take_opt_float))
+
+    def parse(self, sec: _Section) -> Optional[Tuple[float, float]]:
+        window = tuple(key.parse(sec) for key in self.keys)
+        if window.count(None) == 1:
+            t0, t1 = self.keys
+            raise ConfigError(f"[{sec.name}] {t0.name} and {t1.name} must appear together")
+        return None if window[0] is None else window
+
+    def dump(self, window, out: List[str]) -> None:
+        for key, t in zip(self.keys, window or ()):
+            key.dump(t, out)
+
+
+class _SectionName:
+    """ExperimentSpec.name: the section header, not a key."""
+
+    def parse(self, sec: _Section) -> str:
+        return sec.name
+
+    def dump(self, name: str, out: List[str]) -> None:
+        out.append(f"[{name}]\n")
+
+
+_LAW = _Family("law", {name: _Record(cls, "rho", "lam") for name, cls in
+                       (("concave", ConcaveParams), ("convex", ConvexParams))})
+_FLOAT_LIST = (_Section.take_float_list, lambda values: ", ".join(map(repr, values)))
+_SPEC = _Record(
+    ExperimentSpec,
+    _SectionName(),
+    _Family("controller", {
+        "kinfty": _Record(KInfty, _LAW),
+        "saturated": _Record(SaturatedKInfty, _LAW, "k_max"),
+        "obeid": _Record(ObeidTwoPhase, _Record(PsbParams, "epsilon", "k_bar")),
+        "tbg": _Record(TbgIntegral, _LAW, _Record(TbgParams, "t_f", "delta")),
+        "fixed_sign": _Record(FixedSign, "k"),
+    }),
+    _Record(DisturbanceSpec, _Family("disturbance", {
+        "piecewise_vii": _Record(PiecewiseVII),
+        "sinusoid": _Record(Sinusoid, "amplitude", "omega", "phase_rad"),
+        "custom": _Record(CustomTable, _Key("table_t", *_FLOAT_LIST),
+                          _Key("table_d", *_FLOAT_LIST)),
+    }, aliases={"sin_two": Sinusoid(2.0, 1.0, 0.0)}), "d_bar"),
+    _Record(SimConfig, "s0", "h", "t_end", _Key("u_max", _Section.take_opt_float)),
+    _Key("sigma_target", _Section.take_opt_float),
+    _Window(),
+    _Record(Expectations, *(
+        [_Key(k, _Section.take_opt_float) for k in (
+            "expect_t_conv_max", "expect_sigma_max", "expect_gain_max_post")]
+        + [_Key(k, _Section.take_opt_bool, lambda v: "true" if v else "false")
+           for k in ("expect_final_inside", "expect_escapes_all_reenter",
+                     "expect_no_reentry_after_last_escape")])),
+)
+
+
+# --- config reading and writing --------------------------------------------
 
 def _parse_section(name: str, items: Dict[str, str]) -> ExperimentSpec:
     sec = _Section(name, items)
-    controller = _parse_controller(sec)
-    disturbance = _parse_disturbance(sec)
-    try:
-        sim = SimConfig(sec.take_float("s0"), sec.take_float("h"),
-                        sec.take_float("t_end"), sec.take_opt_float("u_max"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[{name}] invalid simulation config: {exc}") from exc
-
-    sigma_target = sec.take_opt_float("sigma_target")
-    if sigma_target is not None and sigma_target <= 0:
-        raise ConfigError(f"[{name}] sigma_target must be positive")
-    t0 = sec.take_opt_float("chatter_t0")
-    t1 = sec.take_opt_float("chatter_t1")
-    if (t0 is None) != (t1 is None):
-        raise ConfigError(f"[{name}] chatter_t0 and chatter_t1 must appear together")
-    window = None if t0 is None else (t0, t1)
-    if window is not None and not (0.0 <= t0 < t1 <= sim.t_end):
-        raise ConfigError(f"[{name}] chattering window must satisfy 0 <= t0 < t1 <= t_end")
-
-    expect = Expectations(
-        t_conv_max=sec.take_opt_float("expect_t_conv_max"),
-        sigma_max=sec.take_opt_float("expect_sigma_max"),
-        gain_max_post=sec.take_opt_float("expect_gain_max_post"),
-        final_inside=sec.take_opt_bool("expect_final_inside"),
-        escapes_all_reenter=sec.take_opt_bool("expect_escapes_all_reenter"),
-        no_reentry_after_last_escape=sec.take_opt_bool(
-            "expect_no_reentry_after_last_escape"),
-    )
-    needs_sigma = (expect.t_conv_max is not None or expect.sigma_max is not None
-                   or expect.gain_max_post is not None
-                   or expect.final_inside is not None
-                   or expect.escapes_all_reenter is not None
-                   or expect.no_reentry_after_last_escape is not None)
-    if needs_sigma and sigma_target is None:
-        raise ConfigError(f"[{name}] declared expectations require sigma_target")
+    spec = _SPEC.parse(sec)
     if sec.items:
-        unknown = ", ".join(sorted(sec.items))
-        raise ConfigError(f"[{name}] unknown keys: {unknown}")
-    return ExperimentSpec(name, controller, disturbance, sim,
-                          sigma_target, window, expect)
+        raise ConfigError(f"[{name}] unknown keys: {', '.join(sorted(sec.items))}")
+    return spec
 
 
 def loads_config(text: str, source: str = "<string>") -> List[ExperimentSpec]:
@@ -293,8 +318,7 @@ def loads_config(text: str, source: str = "<string>") -> List[ExperimentSpec]:
     names = parser.sections()
     if not names:
         raise ConfigError(f"{source}: no experiment sections found")
-    specs = [_parse_section(name, dict(parser.items(name))) for name in names]
-    return specs
+    return [_parse_section(name, dict(parser.items(name))) for name in names]
 
 
 def load_config(path) -> List[ExperimentSpec]:
@@ -304,80 +328,19 @@ def load_config(path) -> List[ExperimentSpec]:
     return loads_config(path.read_text(), source=str(path))
 
 
-# --- config writing --------------------------------------------------------
-
-def _controller_items(spec: ControllerSpec) -> List[Tuple[str, str]]:
-    def law_items(law):
-        if isinstance(law, ConcaveParams):
-            return [("law", "concave"), ("rho", repr(law.rho1)),
-                    ("lam", repr(law.lambda1))]
-        return [("law", "convex"), ("rho", repr(law.rho2)),
-                ("lam", repr(law.lambda2))]
-
-    if isinstance(spec, KInfty):
-        return [("controller", "kinfty")] + law_items(spec.law)
-    if isinstance(spec, SaturatedKInfty):
-        return ([("controller", "saturated")] + law_items(spec.law)
-                + [("k_max", repr(spec.k_max))])
-    if isinstance(spec, ObeidTwoPhase):
-        return [("controller", "obeid"), ("epsilon", repr(spec.params.epsilon)),
-                ("k_bar", repr(spec.params.k_bar))]
-    if isinstance(spec, TbgIntegral):
-        return ([("controller", "tbg")] + law_items(spec.law)
-                + [("t_f", repr(spec.tbg.t_f)), ("delta", repr(spec.tbg.delta))])
-    return [("controller", "fixed_sign"), ("k", repr(spec.k))]
-
-
-def _disturbance_items(spec: DisturbanceSpec) -> List[Tuple[str, str]]:
-    sig = spec.signal
-    if isinstance(sig, PiecewiseVII):
-        items = [("disturbance", "piecewise_vii")]
-    elif isinstance(sig, SinTwo):
-        items = [("disturbance", "sin_two")]
-    elif isinstance(sig, Sinusoid):
-        items = [("disturbance", "sinusoid"), ("amplitude", repr(sig.amplitude)),
-                 ("omega", repr(sig.omega)), ("phase_rad", repr(sig.phase))]
-    else:
-        items = [("disturbance", "custom"),
-                 ("table_t", ", ".join(repr(v) for v in sig.times)),
-                 ("table_d", ", ".join(repr(v) for v in sig.values))]
-    return items + [("d_bar", repr(spec.d_bar))]
-
-
-def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
+def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError("experiment names must be unique within a batch")
-    out = io.StringIO()
+
+
+def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
+    _check_unique_names(specs)
+    out: List[str] = []
     for spec in specs:
-        out.write(f"[{spec.name}]\n")
-        items = _controller_items(spec.controller)
-        items += _disturbance_items(spec.disturbance)
-        items += [("s0", repr(spec.sim.s0)), ("h", repr(spec.sim.h)),
-                  ("t_end", repr(spec.sim.t_end))]
-        if spec.sim.u_max is not None:
-            items.append(("u_max", repr(spec.sim.u_max)))
-        if spec.sigma_target is not None:
-            items.append(("sigma_target", repr(spec.sigma_target)))
-        if spec.chatter_window is not None:
-            items.append(("chatter_t0", repr(spec.chatter_window[0])))
-            items.append(("chatter_t1", repr(spec.chatter_window[1])))
-        e = spec.expect
-        for key, val in (("expect_t_conv_max", e.t_conv_max),
-                         ("expect_sigma_max", e.sigma_max),
-                         ("expect_gain_max_post", e.gain_max_post)):
-            if val is not None:
-                items.append((key, repr(val)))
-        for key, val in (("expect_final_inside", e.final_inside),
-                         ("expect_escapes_all_reenter", e.escapes_all_reenter),
-                         ("expect_no_reentry_after_last_escape",
-                          e.no_reentry_after_last_escape)):
-            if val is not None:
-                items.append((key, "true" if val else "false"))
-        for key, val in items:
-            out.write(f"{key} = {val}\n")
-        out.write("\n")
-    return out.getvalue()
+        _SPEC.dump(spec, out)
+        out.append("\n")
+    return "".join(out)
 
 
 def write_config(specs: Sequence[ExperimentSpec], path) -> None:
@@ -476,20 +439,21 @@ def _check_expectations(spec: ExperimentSpec, traj: Trajectory,
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Simulate one spec and evaluate its analysis requests."""
+    """Simulate one spec and evaluate its analysis requests. A divergence
+    or a disturbance-bound violation is returned as the result's error."""
     try:
         traj = simulate(Controller(spec.controller), spec.disturbance, spec.sim)
-    except SimulationDiverged as exc:
-        return ExperimentResult(spec, exc.trajectory, None, None, None, (),
-                                error=str(exc))
+    except (SimulationDiverged, DisturbanceBoundError) as exc:
+        # only a divergence carries a partial trajectory
+        return ExperimentResult(spec, getattr(exc, "trajectory", None), None, None,
+                                None, (), error=str(exc))
     report = None
     gain_max_post = None
     if spec.sigma_target is not None:
         report = analysis.convergence_time(traj, spec.sigma_target)
         if report.t_conv is not None:
-            mask = traj.t >= report.t_conv + analysis.SETTLE_PAD
-            if mask.any():
-                gain_max_post = float(traj.gain[mask].max())
+            peak = analysis.settled_peak_gain(traj, report.t_conv)
+            gain_max_post = None if peak is None else peak[1]
     window = spec.chatter_window or analysis.default_chatter_window(traj)
     chatter = analysis.total_variation(traj, window)
     failures = _check_expectations(spec, traj, report, gain_max_post)
@@ -520,20 +484,14 @@ def summary_csv(summary: BatchSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_batch(specs: Sequence[ExperimentSpec], out_dir, jobs: int = 1) -> BatchSummary:
+def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     """Run every spec, write per-experiment trajectory CSVs plus one
     summary.csv, and return the summary. Rerunning a batch overwrites the
     outputs with identical content."""
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("experiment names must be unique within a batch")
+    _check_unique_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_experiment, specs))
-    else:
-        results = [run_experiment(s) for s in specs]
+    results = [run_experiment(s) for s in specs]
     for r in results:
         if r.trajectory is not None:
             write_trajectory_csv(r.trajectory, out_dir / f"{r.spec.name}.csv")
@@ -554,19 +512,6 @@ class SweepRow:
     feasible: bool
 
 
-def _with_law(spec: ControllerSpec, rho: float, lam: float) -> ControllerSpec:
-    base_law = getattr(spec, "law", None)
-    if base_law is None:
-        raise ConfigError(f"controller {type(spec).__name__} has no gain law to sweep")
-    law = (ConcaveParams(rho, lam) if isinstance(base_law, ConcaveParams)
-           else ConvexParams(rho, lam))
-    if isinstance(spec, KInfty):
-        return KInfty(law)
-    if isinstance(spec, SaturatedKInfty):
-        return SaturatedKInfty(law, spec.k_max)
-    return TbgIntegral(law, spec.tbg)
-
-
 def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
           target_sigma: float, u_budget: float) -> List[SweepRow]:
     """Evaluate (rho, lam) grid points on the base experiment: predicted
@@ -575,10 +520,14 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
     ordered by convergence time."""
     if not grid:
         raise ConfigError("sweep grid is empty")
+    base_law = getattr(base.controller, "law", None)
+    if base_law is None:
+        raise ConfigError(
+            f"controller {type(base.controller).__name__} has no gain law to sweep")
     rows = []
     for rho, lam in grid:
-        ctrl = _with_law(base.controller, rho, lam)
-        law = ctrl.law
+        law = type(base_law)(rho, lam)
+        ctrl = replace(base.controller, law=law)
         bound = ultimate_bound(law, base.disturbance.d_bar).sigma
         traj = simulate(Controller(ctrl), base.disturbance, base.sim)
         peak_u = float(np.abs(traj.u_applied).max())

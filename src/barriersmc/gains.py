@@ -1,6 +1,6 @@
 """Gain laws for adaptive relay control: two class-Kinf barrier gains
-(logarithmic/concave and arctangent/convex), the legacy bounded barrier,
-a fixed gain, plus closed-form inverses and ultimate-bound radii.
+(logarithmic/concave and arctangent/convex) and the legacy bounded
+barrier, plus closed-form inverses and ultimate-bound radii.
 
 All operations here are pure functions of immutable parameter records;
 parameter validation happens once at construction so the per-sample
@@ -73,21 +73,7 @@ class PsbParams:
         _require_positive("k_bar", self.k_bar)
 
 
-@dataclass(frozen=True)
-class FixedGain:
-    """Constant relay gain; baseline for chattering comparisons only.
-
-    k = 0 is allowed (free plant), unlike the class-Kinf laws.
-    """
-
-    k: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"k must be a nonnegative finite number, got {self.k!r}")
-
-
-GainLaw = Union[ConcaveParams, ConvexParams, PsbParams, FixedGain]
+GainLaw = Union[ConcaveParams, ConvexParams, PsbParams]
 
 
 @dataclass(frozen=True)
@@ -169,14 +155,11 @@ def eval_gain(law: GainLaw, abs_s: float) -> float:
         return eval_convex(law, abs_s)
     if isinstance(law, PsbParams):
         return eval_psb(law, abs_s)
-    if isinstance(law, FixedGain):
-        return law.k
     raise UnsupportedVariantError(f"not a gain law: {law!r}")
 
 
 def gain_inverse(law: GainLaw, k: float) -> float:
-    """Inverse of a class-Kinf law; undefined for the legacy barrier and
-    the fixed gain."""
+    """Inverse of a class-Kinf law; undefined for the legacy barrier."""
     if isinstance(law, ConcaveParams):
         return inv_concave(law, k)
     if isinstance(law, ConvexParams):

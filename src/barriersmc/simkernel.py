@@ -53,11 +53,6 @@ class PiecewiseVII:
 
 
 @dataclass(frozen=True)
-class SinTwo:
-    """2*sin(t)."""
-
-
-@dataclass(frozen=True)
 class CustomTable:
     """Sampled signal with linear interpolation; no extrapolation."""
 
@@ -71,7 +66,7 @@ class CustomTable:
             raise ValueError("table times must be strictly increasing")
 
 
-Signal = Union[Sinusoid, PiecewiseVII, SinTwo, CustomTable]
+Signal = Union[Sinusoid, PiecewiseVII, CustomTable]
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,9 @@ class DisturbanceSpec:
     """A disturbance signal plus its analysis-side bound d_bar.
 
     d_bar is never visible to controllers; |d(t)| <= d_bar is checked over
-    the sampled trajectory during simulation.
+    the sampled trajectory during simulation. A custom table is checked at
+    its nodes up front, which is exact because linear interpolation peaks
+    at the nodes.
     """
 
     signal: Signal
@@ -88,6 +85,9 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d_bar) and self.d_bar > 0):
             raise ValueError(f"d_bar must be positive, got {self.d_bar!r}")
+        if (isinstance(self.signal, CustomTable)
+                and max(map(abs, self.signal.values)) > self.d_bar):
+            raise ValueError(f"table |d| exceeds declared d_bar = {self.d_bar!r}")
 
 
 def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:
@@ -98,8 +98,6 @@ def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:
         if t <= 5.0:
             return 0.1 * math.sin(3.0 * t)
         return 0.2 * math.cos(5.0 * t)
-    if isinstance(sig, SinTwo):
-        return 2.0 * math.sin(t)
     if isinstance(sig, CustomTable):
         if t < sig.times[0] or t > sig.times[-1]:
             raise ExtrapolationError(

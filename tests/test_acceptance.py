@@ -5,6 +5,7 @@ a set of randomized property suites at 1000 cases each.
 """
 
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from barriersmc.controllers import (
     Controller,
     FixedSign,
     KInfty,
+    ObeidTwoPhase,
     SaturatedKInfty,
+    TbgIntegral,
     TbgParams,
     tbg_kg,
     tbg_z_closed_form,
@@ -24,11 +27,20 @@ from barriersmc.controllers import (
 from barriersmc.gains import (
     ConcaveParams,
     ConvexParams,
+    PsbParams,
     eval_gain,
     gain_inverse,
     ultimate_bound,
 )
-from barriersmc.simkernel import DisturbanceSpec, SimConfig, Sinusoid, simulate
+from barriersmc.simkernel import (
+    CustomTable,
+    DisturbanceSpec,
+    PiecewiseVII,
+    SimConfig,
+    Sinusoid,
+    n_steps,
+    simulate,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SEC7 = REPO / "configs" / "paper_sec7.cfg"
@@ -228,27 +240,53 @@ names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1,
 spec_floats = st.floats(min_value=1e-3, max_value=1e3)
 
 
+controllers = st.one_of(
+    st.builds(KInfty, laws),
+    st.builds(SaturatedKInfty, laws, positive),
+    st.builds(ObeidTwoPhase, st.builds(PsbParams, positive, positive)),
+    st.builds(TbgIntegral, laws,
+              st.builds(TbgParams, positive, st.floats(min_value=1e-6, max_value=0.5))),
+    st.builds(FixedSign, st.floats(min_value=0.0, max_value=10.0)),
+)
+unit = st.floats(min_value=-1.0, max_value=1.0)
+opt_float = st.one_of(st.none(), spec_floats)
+opt_bool = st.one_of(st.none(), st.booleans())
+
+
+@st.composite
+def custom_tables(draw, t_last, d_bar):
+    # 2-8 strictly increasing nodes from 0 to at least the last sample time,
+    # with values inside the declared bound
+    steps = draw(st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=7))
+    cum = list(accumulate(steps))
+    end = t_last * draw(st.floats(min_value=1.0, max_value=2.0))
+    times = (0.0, *(c / cum[-1] * end for c in cum))
+    return CustomTable(times, tuple(d_bar * draw(unit) for _ in times))
+
+
 @st.composite
 def experiment_specs(draw, name):
-    controller = draw(st.one_of(
-        st.builds(KInfty, laws),
-        st.builds(SaturatedKInfty, laws, positive),
-        st.builds(FixedSign, st.floats(min_value=0.0, max_value=10.0)),
-    ))
-    disturbance = DisturbanceSpec(
-        Sinusoid(draw(spec_floats), draw(spec_floats), draw(spec_floats)),
-        draw(spec_floats) * 10.0,
-    )
+    controller = draw(controllers)
     h = draw(st.floats(min_value=1e-4, max_value=0.1))
     sim = SimConfig(draw(st.floats(min_value=-10, max_value=10)), h,
                     h * draw(st.integers(min_value=1, max_value=1000)),
                     draw(st.one_of(st.none(), positive)))
-    sigma = draw(st.one_of(st.none(), spec_floats))
+    d_bar = draw(spec_floats) * 10.0
+    signal = draw(st.one_of(
+        st.just(PiecewiseVII()),
+        st.builds(Sinusoid, spec_floats, spec_floats, spec_floats),
+        custom_tables(n_steps(sim) * sim.h, d_bar),
+    ))
+    window = None
+    if draw(st.booleans()):
+        window = (sim.t_end * draw(st.floats(min_value=0.0, max_value=0.49)),
+                  sim.t_end * draw(st.floats(min_value=0.5, max_value=1.0)))
+    sigma = draw(opt_float)
     expect = experiment.Expectations(
-        sigma_max=draw(st.one_of(st.none(), spec_floats)) if sigma else None,
-    )
-    return experiment.ExperimentSpec(name, controller, disturbance, sim,
-                                     sigma, None, expect)
+        *(draw(opt_float) for _ in range(3)), *(draw(opt_bool) for _ in range(3))
+    ) if sigma else experiment.Expectations()
+    return experiment.ExperimentSpec(name, controller, DisturbanceSpec(signal, d_bar),
+                                     sim, sigma, window, expect)
 
 
 @st.composite

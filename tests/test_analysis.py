@@ -19,7 +19,7 @@ from barriersmc.controllers import Controller, FixedSign, KInfty
 from barriersmc.gains import (
     ConcaveParams,
     ConvexParams,
-    FixedGain,
+    PsbParams,
     UnsupportedVariantError,
     eval_convex,
     inv_convex,
@@ -160,7 +160,7 @@ class TestSatTimeBound:
 
     def test_needs_class_kinf_law(self):
         with pytest.raises(UnsupportedVariantError):
-            sat_time_bound(1.0, FixedGain(5.0), 5.0, 0.2)
+            sat_time_bound(1.0, PsbParams(0.1, 2.0), 5.0, 0.2)
 
     def test_sign_of_s0_irrelevant(self):
         assert sat_time_bound(-1.0, CV, 5.0, 0.2) == sat_time_bound(1.0, CV, 5.0, 0.2)

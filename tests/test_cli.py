@@ -6,6 +6,7 @@ from barriersmc import cli
 
 REPO = Path(__file__).resolve().parents[1]
 SEC3 = REPO / "configs" / "paper_sec3.cfg"
+SEC7 = REPO / "configs" / "paper_sec7.cfg"
 
 QUICK = """\
 [still]
@@ -75,6 +76,59 @@ def test_run_divergence(tmp_path, capsys):
     code = cli.main(["run", str(p), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_DIVERGED
     assert "error" in capsys.readouterr().out
+
+
+def test_sweep_divergence_exits_3_without_traceback(capsys):
+    # h*rho*pi/(2*lam) ~ 3.9 > 2: the explicit Euler step grows |s|
+    code = cli.main(["sweep", str(SEC7), "--experiment", "cv",
+                     "--grid", "rho=25;lam=0.01", "--target", "0.01",
+                     "--budget", "100"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DIVERGED
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def custom_table(table_t, table_d, d_bar="1.0", t_end="1.0", h="0.1"):
+    return QUICK.replace("disturbance = sinusoid\namplitude = 0.0\nomega = 1.0\n"
+                         "phase_rad = 0.0\nd_bar = 1e-9\n",
+                         f"disturbance = custom\ntable_t = {table_t}\n"
+                         f"table_d = {table_d}\nd_bar = {d_bar}\n"
+                         ).replace("h = 0.001\nt_end = 0.1", f"h = {h}\nt_end = {t_end}")
+
+
+@pytest.mark.parametrize("text", [
+    custom_table("0.0, 0.5", "0.0, 0.0"),  # ends before t_end
+    custom_table("0.1, 1.0", "0.0, 0.0"),  # starts after 0
+    custom_table("0.0, 1.0", "0.0, 1.5"),  # exceeds d_bar at a node
+])
+def test_validate_rejects_table_run_cannot_use(tmp_path, capsys, text):
+    p = write(tmp_path, text)
+    assert cli.main(["validate", str(p)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("configuration error") for line in err)
+
+
+def test_validate_accepts_table_covering_last_sample(tmp_path):
+    # t_end = 0.95 with h = 0.1 puts the last sample at 0.9
+    p = write(tmp_path, custom_table("0.0, 0.9", "1.0, -1.0", t_end="0.95"))
+    assert cli.main(["validate", str(p)]) == cli.EXIT_OK
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+def test_run_disturbance_bound_violation_exits_3(tmp_path, capsys):
+    text = QUICK.replace("amplitude = 0.0", "amplitude = 3.0").replace(
+        "d_bar = 1e-9", "d_bar = 2.0").replace(
+        "h = 0.001\nt_end = 0.1", "h = 0.01\nt_end = 3.0")
+    p = write(tmp_path, text)
+    assert cli.main(["validate", str(p)]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["run", str(p), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DIVERGED
+    assert "Traceback" not in captured.err
+    row = captured.out.splitlines()[1].split(",")
+    assert row[0] == "still" and row[6] == "error" and "d_bar" in row[7]
 
 
 def test_run_missing_config(tmp_path):

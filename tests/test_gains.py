@@ -7,7 +7,6 @@ from barriersmc.gains import (
     BarrierPoleError,
     ConcaveParams,
     ConvexParams,
-    FixedGain,
     GainRangeError,
     PsbParams,
     UltimateBound,
@@ -149,8 +148,6 @@ class TestUltimateBound:
     def test_unsupported_variants(self):
         with pytest.raises(UnsupportedVariantError):
             ultimate_bound(PsbParams(0.1, 2.0), 0.2)
-        with pytest.raises(UnsupportedVariantError):
-            ultimate_bound(FixedGain(5.0), 0.2)
 
     def test_rejects_nonpositive_d_bar(self):
         with pytest.raises(ValueError):
@@ -164,7 +161,7 @@ class TestUltimateBound:
 
 
 def test_eval_gain_dispatch():
-    assert eval_gain(FixedGain(5.0), 123.0) == 5.0
+    assert eval_gain(PsbParams(0.1, 2.0), 0.05) == eval_psb(PsbParams(0.1, 2.0), 0.05)
     assert eval_gain(CC, 0.0) == 0.0
     with pytest.raises(UnsupportedVariantError):
         eval_gain("nope", 1.0)

@@ -14,7 +14,6 @@ from barriersmc.simkernel import (
     PiecewiseVII,
     SimConfig,
     SimulationDiverged,
-    SinTwo,
     Sinusoid,
     Trajectory,
     eval_disturbance,
@@ -34,8 +33,11 @@ class TestDisturbances:
         assert eval_disturbance(VII, 5.0 + 1e-9) == pytest.approx(0.2 * math.cos(25.0))
 
     def test_sin_two(self):
-        d = DisturbanceSpec(SinTwo(), 2.0)
+        # the config alias sin_two is this sinusoid, bit-identical to 2*sin(t)
+        d = DisturbanceSpec(Sinusoid(2.0, 1.0, 0.0), 2.0)
         assert eval_disturbance(d, math.pi / 2.0) == pytest.approx(2.0)
+        for t in np.arange(0, 20001) * 1e-3:
+            assert eval_disturbance(d, t) == 2.0 * math.sin(t)
 
     def test_sinusoid_phase(self):
         d = DisturbanceSpec(Sinusoid(3.0, 2.0, math.pi / 2.0), 3.0)
@@ -59,7 +61,7 @@ class TestDisturbances:
 
     def test_d_bar_positive(self):
         with pytest.raises(ValueError):
-            DisturbanceSpec(SinTwo(), 0.0)
+            DisturbanceSpec(Sinusoid(2.0, 1.0), 0.0)
 
 
 class TestSimConfig:
