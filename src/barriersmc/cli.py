@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
-1 declared expectation failed, 2 configuration error, 3 simulation
-diverged or its disturbance exceeded d_bar.
+1 declared expectation failed, 2 configuration error, a malformed
+trajectory CSV given to `plot` included, 3 simulation diverged or its
+disturbance exceeded d_bar.
 """
 
 from __future__ import annotations

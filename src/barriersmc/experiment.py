@@ -34,6 +34,16 @@ expect_no_reentry_after_last_escape   optional declared expectations
 
 A simulation that diverges or whose disturbance exceeds d_bar does not
 raise out of `run_experiment`: it becomes an `error` row of the summary.
+
+Trajectory CSV
+--------------
+`write_trajectory_csv` writes the header line
+`t,s,u_commanded,u_applied,gain,d`, then one row per sample of exactly 6
+`%.17g` fields, which round-trip every double bit for bit; `emit_plot_data`
+writes its figure columns in the same number format. `read_trajectory_csv`
+accepts only that form: a wrong header, no data rows, a blank or `#` line,
+a row of another field count or a field that is not a number, in any
+column, is a ConfigError, so `barriersmc plot` exits 2 on a malformed file.
 """
 
 from __future__ import annotations
@@ -349,24 +359,34 @@ def write_config(specs: Sequence[ExperimentSpec], path) -> None:
 
 # --- trajectory CSV --------------------------------------------------------
 
+def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
+    """Write equal-length float columns as CSV, every value as FLOAT_FMT."""
+    row = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    rows = map(row.__mod__, zip(*[c.tolist() for c in cols]))
+    Path(path).write_text(",".join(header) + "\n" + "".join(rows))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    cols = [traj.t, traj.s, traj.u_commanded, traj.u_applied, traj.gain, traj.d]
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for row in zip(*cols):
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, TRAJECTORY_COLUMNS, [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Rebuild a bare trajectory (no simulation metadata) from a CSV."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or tuple(lines[0].split(",")) != TRAJECTORY_COLUMNS:
-        raise ConfigError(f"{path}: not a trajectory CSV")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(TRAJECTORY_COLUMNS):
-        raise ConfigError(f"{path}: malformed trajectory CSV")
-    t, s, uc, ua, g, d = data.T
-    return Trajectory(t, s, uc, ua, g, d)
+    """Rebuild a bare trajectory (no simulation metadata) from a CSV in the
+    format `write_trajectory_csv` writes; any other file is a ConfigError."""
+    header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
+    try:  # ConfigError and UnicodeDecodeError are ValueErrors: both get the path
+        lines = Path(path).read_text().splitlines()
+        if len(lines) < 2 or lines[0] != header or "" in lines:  # loadtxt skips blanks
+            raise ConfigError(f"not a trajectory CSV: needs the header {header}, "
+                              "then data rows and no blank line")
+        # loadtxt rejects rows of unequal field count, and with comments=None
+        # it reads a '#' line as a bad number
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        if data.shape[1] != width:
+            raise ConfigError(f"{data.shape[1]} fields per row, expected {width}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return Trajectory(*data.T)
 
 
 # --- batch execution -------------------------------------------------------
@@ -575,26 +595,21 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     if not files:
         raise ConfigError("no trajectory files given")
     trajs = [(f.stem, read_trajectory_csv(f)) for f in files]
-    t0 = trajs[0][1].t
+    first = trajs[0][1]
     for name, traj in trajs[1:]:
-        if len(traj.t) != len(t0) or not np.array_equal(traj.t, t0):
+        if not np.array_equal(traj.t, first.t):
             raise ConfigError(f"time grid of '{name}' does not match; no resampling")
+        if figure == "escape" and not np.array_equal(traj.d, first.d):
+            raise ConfigError("escape overlay requires a shared disturbance")
 
     short = {"s": "s", "gain": "gain", "u_applied": "u"}
     header = ["t"]
-    cols = [t0]
+    cols = [first.t]
     for signal in FIGURE_SIGNALS[figure]:
         for name, traj in trajs:
             header.append(f"{short[signal]}_{name}")
             cols.append(getattr(traj, signal))
     if figure == "escape":
-        for name, traj in trajs[1:]:
-            if not np.array_equal(traj.d, trajs[0][1].d):
-                raise ConfigError("escape overlay requires a shared disturbance")
         header.append("d")
-        cols.append(trajs[0][1].d)
-
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+        cols.append(first.d)
+    _write_columns(out_path, header, cols)

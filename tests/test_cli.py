@@ -1,8 +1,14 @@
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barriersmc import cli
+from barriersmc.experiment import FIGURE_SIGNALS
 
 REPO = Path(__file__).resolve().parents[1]
 SEC3 = REPO / "configs" / "paper_sec3.cfg"
@@ -178,3 +184,98 @@ def test_plot_cli(tmp_path, capsys):
 def test_plot_missing_dir(tmp_path):
     assert cli.main(["plot", str(tmp_path / "nope"), "--figure",
                      "sliding"]) == cli.EXIT_CONFIG
+
+
+def test_replay_outputs_match_benchmark_sha256(tmp_path):
+    # the benchmark's replay workload: both campaigns, then the four figures
+    golden = json.loads((REPO / "benchmark" / "replay_sha256.json").read_text())
+    for cfg, sub, figures in ((SEC7, "nominal", ("sliding", "gains", "inputs")),
+                              (SEC3, "saturated", ("escape",))):
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / sub)]) == cli.EXIT_OK
+        for figure in figures:
+            assert cli.main(["plot", str(tmp_path / sub), "--figure", figure]) == cli.EXIT_OK
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.rglob("*") if p.is_file()}
+    assert got == golden
+
+
+# 41 samples: a small trajectory CSV to corrupt
+SMALL = QUICK.replace("t_end = 0.1", "t_end = 0.04")
+
+
+def run_small(tmp_path, text=SMALL):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + ",zero"] + rows[4:],
+    lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:],
+    lambda rows: rows[:3] + [rows[3] + ",0"] + rows[4:],
+    lambda rows: rows[:3] + [""] + rows[3:],
+    lambda rows: rows[:3] + ["# comment"] + rows[3:],
+    lambda rows: rows[:1],
+    lambda rows: ["t,s,u,u_applied,gain,d"] + rows[1:],
+], ids=["non_number", "short_row", "long_row", "blank_line", "hash_line",
+        "header_only", "wrong_header"])
+def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle):
+    out = run_small(tmp_path)
+    csv = out / "still.csv"
+    csv.write_text("\n".join(mangle(csv.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {csv}: ")
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    """Two 41-sample trajectories on one time grid, and their CSV text."""
+    tmp = tmp_path_factory.mktemp("pair")
+    pushed = SMALL.replace("[still]", "[pushed]").replace("k = 0.0", "k = 1.0")
+    out = run_small(tmp, SMALL + "\n" + pushed)
+    return out, [(p, p.read_text()) for p in (out / "still.csv", out / "pushed.csv")]
+
+
+@settings(deadline=None, max_examples=150)
+@given(which=st.integers(0, 1), line=st.integers(0, 41), at=st.integers(0, 400),
+       op=st.sampled_from(["truncate", "junk", "drop_field", "add_field",
+                           "blank_line", "change_t"]),
+       junk=st.text(max_size=8), t=st.floats(), figure=st.sampled_from(sorted(FIGURE_SIGNALS)))
+def test_plot_never_tracebacks_on_a_mutated_trajectory(small_pair, which, line, at, op,
+                                                       junk, t, figure):
+    out, files = small_pair
+    path, text = files[which]
+    lines = text.splitlines()
+    if op == "change_t":
+        line = max(line, 1)  # a data row, not the header
+    fields = lines[line].split(",")
+    k = at % len(fields)
+    if op == "truncate":
+        lines[line] = lines[line][:at % (len(lines[line]) + 1)]
+    elif op == "junk":
+        fields[k] = junk
+    elif op == "drop_field":
+        del fields[k]
+    elif op == "add_field":
+        fields.insert(k, "0")
+    elif op == "blank_line":
+        lines.insert(line, "")
+    else:
+        fields[0] = "%.17g" % t
+    if op in ("junk", "drop_field", "add_field", "change_t"):
+        lines[line] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(["plot", str(out), "--figure", figure,
+                             "--out", str(out.parent / "fig.csv")])
+    finally:
+        path.write_text(text)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith("configuration error: ")

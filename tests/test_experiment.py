@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from barriersmc import analysis, experiment
 from barriersmc.controllers import (
@@ -14,6 +16,7 @@ from barriersmc.controllers import (
     TbgParams,
 )
 from barriersmc.experiment import (
+    TRAJECTORY_COLUMNS,
     ConfigError,
     Expectations,
     ExperimentSpec,
@@ -35,6 +38,7 @@ from barriersmc.simkernel import (
     PiecewiseVII,
     SimConfig,
     Sinusoid,
+    Trajectory,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -156,15 +160,48 @@ class TestConfigRoundTrip:
             dumps_config([quick_spec("same"), quick_spec("same")])
 
 
+def assert_columns_bitwise_equal(a: Trajectory, b: Trajectory) -> None:
+    # tobytes, not array_equal, which takes -0.0 == 0.0
+    for c in TRAJECTORY_COLUMNS:
+        assert getattr(a, c).tobytes() == getattr(b, c).tobytes(), c
+
+
+# float64 values whose %.17g text is easy to get wrong
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               math.inf, -math.inf, 1.0, -3.0, 2.0 ** 53, 0.1)
+csv_values = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, width=64),
+    st.floats(min_value=-2.2250738585072014e-308,  # subnormals: below the least normal
+              max_value=2.2250738585072014e-308),
+    st.integers(min_value=-2 ** 60, max_value=2 ** 60).map(float),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    # module scope: hypothesis reruns the test body, not the fixture
+    return tmp_path_factory.mktemp("csv") / "t.csv"
+
+
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         res = run_experiment(quick_spec())
         p = tmp_path / "t.csv"
         write_trajectory_csv(res.trajectory, p)
-        back = read_trajectory_csv(p)
-        assert np.array_equal(back.t, res.trajectory.t)
-        assert np.array_equal(back.s, res.trajectory.s)
-        assert np.array_equal(back.u_applied, res.trajectory.u_applied)
+        assert_columns_bitwise_equal(read_trajectory_csv(p), res.trajectory)
+
+    @settings(deadline=None, max_examples=100)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(6)),
+                      elements=csv_values))
+    def test_byte_format_and_bitwise_round_trip(self, csv_path, rows):
+        traj = Trajectory(*rows.T)
+        write_trajectory_csv(traj, csv_path)
+        expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+        assert csv_path.read_text() == expected
+        assert_columns_bitwise_equal(read_trajectory_csv(csv_path), traj)
 
     def test_rejects_foreign_csv(self, tmp_path):
         p = tmp_path / "x.csv"
