@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Replay both bundled benchmark campaigns and emit plot-ready CSV data.
 
-Writes one trajectory CSV per experiment, a summary.csv per campaign, and
-the overlay files used for the standard figures:
+Runs `barriersmc run` on each campaign, then `barriersmc plot` for its
+standard figures, writing one trajectory CSV per experiment, a summary.csv
+per campaign and the figure overlays:
 
   out/nominal/   four barrier-gain controllers under the piecewise
                  disturbance (sliding, gains and inputs overlays)
   out/saturated/ legacy two-phase controller vs. the concave barrier law
                  under actuator saturation (escape overlay)
+
+Exits with the largest exit code of those commands, so the CLI contract
+holds: 0 ok, 1 expectation failed, 2 configuration error, 3 diverged.
 
 Usage: python3 scripts/run_paper_experiments.py [--out OUT]
 """
@@ -19,7 +23,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from barriersmc import experiment  # noqa: E402
+from barriersmc import cli  # noqa: E402
 
 CAMPAIGNS = {
     "nominal": (REPO / "configs" / "paper_sec7.cfg",
@@ -34,26 +38,13 @@ def main(argv=None) -> int:
                     help="output directory (default: ./out)")
     args = ap.parse_args(argv)
 
-    any_failed = False
+    codes = []
     for campaign, (cfg, figures) in CAMPAIGNS.items():
-        specs = experiment.load_config(cfg)
-        out_dir = args.out / campaign
-        summary = experiment.run_batch(specs, out_dir)
-        traj_files = [out_dir / f"{s.name}.csv" for s in specs]
+        out_dir = str(args.out / campaign)
+        codes.append(cli.main(["run", str(cfg), "--out", out_dir]))
         for fig in figures:
-            experiment.emit_plot_data(traj_files, fig,
-                                      out_dir / f"fig_{fig}.csv")
-        print(f"== {campaign} ({cfg.name}) ==")
-        for res in summary.results:
-            status = "error" if res.error else (
-                "FAIL" if res.failures else "ok")
-            t_conv = res.report.t_conv if res.report else None
-            print(f"  {res.spec.name:10s} {status:5s} t_conv={t_conv} "
-                  f"max|s|={res.report.sigma_measured if res.report else None}")
-            any_failed = any_failed or bool(res.failures or res.error)
-        print(f"  wrote {out_dir}/summary.csv and "
-              f"{', '.join('fig_' + f + '.csv' for f in figures)}")
-    return 1 if any_failed else 0
+            codes.append(cli.main(["plot", out_dir, "--figure", fig]))
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -13,12 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.gains import (
-    GainLaw,
-    eval_gain,
-    gain_inverse,
-    ultimate_bound,
-)
+from barriersmc.gains import GainLaw, gain_inverse, ultimate_bound
 from barriersmc.simkernel import Trajectory
 
 # Post-convergence settle pad before gain levels are judged, and the default
@@ -175,7 +170,7 @@ def sat_time_bound(s0: float, law: GainLaw, k_max: float, d_bar: float) -> float
         t_a = 0.0
         upper = a0
     s_star = sigma1 + 0.5 * (upper - sigma1)
-    t_b = (upper - sigma1) / (eval_gain(law, s_star) - d_bar)
+    t_b = (upper - sigma1) / (law.gain(s_star) - d_bar)
     return t_a + t_b
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
-trajectory CSV given to `plot` included, 3 simulation diverged or its
-disturbance exceeded d_bar.
+trajectory CSV given to `plot` and a file that cannot be read or written
+included, 3 simulation diverged or its disturbance exceeded d_bar.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
                 "plot": _cmd_plot, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: e.g. an --out path under a file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationDiverged, DisturbanceBoundError) as exc:

@@ -1,26 +1,22 @@
 """Stateful control laws u = f(t, s) for the scalar plant s' = u + d.
 
-Controller descriptors are frozen dataclasses (safe to embed in configs);
-a `Controller` wraps one descriptor with the per-simulation mutable state
-(adaptive gain integrator, phase flag, auxiliary state). Adaptive state is
-advanced by explicit Euler at the sample step, matching the plant loop.
+Controller descriptors are frozen dataclasses (safe to embed in configs),
+and each carries its own law as `control(state, t, s, h)`. A `Controller`
+wraps one descriptor with the per-simulation mutable state (adaptive gain
+integrator, phase flag, auxiliary state) and delegates every sample to the
+descriptor's `control`, so no step dispatches over variants. Adaptive
+state is advanced by explicit Euler at the sample step, matching the plant
+loop. A new variant is a descriptor class with its `control`, added to
+`ControllerSpec` and to the config schema in `experiment`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from barriersmc.gains import (
-    ConcaveParams,
-    ConvexParams,
-    GainLaw,
-    PsbParams,
-    eval_gain,
-    eval_psb,
-    saturate_gain,
-)
+from barriersmc.gains import KinfLaw, PsbParams, saturate_gain
 
 
 def sign(x: float) -> float:
@@ -80,16 +76,21 @@ def tbg_z_closed_form(t: float, s0: float, p: TbgParams) -> float:
 class _KinfLawSpec:
     """Base of the descriptors driven by a class-Kinf gain law `law`."""
 
-    law: GainLaw
+    law: KinfLaw
 
     def __post_init__(self) -> None:
-        if not isinstance(self.law, (ConcaveParams, ConvexParams)):
+        if not isinstance(self.law, KinfLaw):
             raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
 
 @dataclass(frozen=True)
 class KInfty(_KinfLawSpec):
     """Pure class-Kinf relay u = -K(|s|) sign(s)."""
+
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        g = self.law.gain(abs(s))
+        st.gain = g
+        return -g * sign(s)
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,11 @@ class SaturatedKInfty(_KinfLawSpec):
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError(f"k_max must be positive, got {self.k_max!r}")
 
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        g = saturate_gain(self.law.gain(abs(s)), self.k_max)
+        st.gain = g
+        return -g * sign(s)
+
 
 @dataclass(frozen=True)
 class ObeidTwoPhase:
@@ -111,6 +117,19 @@ class ObeidTwoPhase:
     pole barrier."""
 
     params: PsbParams
+
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        p = self.params
+        if st.phase == REACHING and abs(s) <= 0.5 * p.epsilon:
+            st.phase = BARRIER
+            st.t_bar = t
+        if st.phase == REACHING:
+            g = st.k_a
+            st.k_a += h * p.k_bar * abs(s)
+        else:
+            g = p.gain(abs(s))
+        st.gain = g
+        return -g * sign(s)
 
 
 @dataclass(frozen=True)
@@ -125,6 +144,17 @@ class TbgIntegral(_KinfLawSpec):
 
     tbg: TbgParams
 
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        if st.z is None:
+            st.z = s  # first sample defines s0
+        kg = tbg_kg(t, self.tbg)
+        e = s - st.z
+        g = self.law.gain(abs(e))
+        u = -kg * st.z - g * sign(e)
+        st.z -= h * kg * st.z
+        st.gain = g
+        return u
+
 
 @dataclass(frozen=True)
 class FixedSign:
@@ -136,8 +166,12 @@ class FixedSign:
         if not (math.isfinite(self.k) and self.k >= 0):
             raise ValueError(f"k must be nonnegative, got {self.k!r}")
 
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        st.gain = self.k
+        return -self.k * sign(s)
 
-ControllerSpec = Union[KInfty, SaturatedKInfty, ObeidTwoPhase, TbgIntegral, FixedSign]
+
+ControllerSpec = KInfty | SaturatedKInfty | ObeidTwoPhase | TbgIntegral | FixedSign
 
 REACHING = "reaching"
 BARRIER = "barrier"
@@ -162,50 +196,10 @@ class Controller:
     """
 
     def __init__(self, spec: ControllerSpec):
-        if not isinstance(spec, (KInfty, SaturatedKInfty, ObeidTwoPhase,
-                                 TbgIntegral, FixedSign)):
+        if not isinstance(spec, ControllerSpec):
             raise TypeError(f"not a controller descriptor: {spec!r}")
         self.spec = spec
         self.state = ControllerState()
 
     def control(self, t: float, s: float, h: float) -> float:
-        spec = self.spec
-        st = self.state
-
-        if isinstance(spec, KInfty):
-            g = eval_gain(spec.law, abs(s))
-            st.gain = g
-            return -g * sign(s)
-
-        if isinstance(spec, SaturatedKInfty):
-            g = saturate_gain(eval_gain(spec.law, abs(s)), spec.k_max)
-            st.gain = g
-            return -g * sign(s)
-
-        if isinstance(spec, ObeidTwoPhase):
-            p = spec.params
-            if st.phase == REACHING and abs(s) <= 0.5 * p.epsilon:
-                st.phase = BARRIER
-                st.t_bar = t
-            if st.phase == REACHING:
-                g = st.k_a
-                st.k_a += h * p.k_bar * abs(s)
-            else:
-                g = eval_psb(p, abs(s))
-            st.gain = g
-            return -g * sign(s)
-
-        if isinstance(spec, TbgIntegral):
-            if st.z is None:
-                st.z = s  # first sample defines s0
-            kg = tbg_kg(t, spec.tbg)
-            e = s - st.z
-            g = eval_gain(spec.law, abs(e))
-            u = -kg * st.z - g * sign(e)
-            st.z -= h * kg * st.z
-            st.gain = g
-            return u
-
-        # FixedSign
-        st.gain = spec.k
-        return -spec.k * sign(s)
+        return self.spec.control(self.state, t, s, h)

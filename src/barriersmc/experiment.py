@@ -43,7 +43,9 @@ Trajectory CSV
 writes its figure columns in the same number format. `read_trajectory_csv`
 accepts only that form: a wrong header, no data rows, a blank or `#` line,
 a row of another field count or a field that is not a number, in any
-column, is a ConfigError, so `barriersmc plot` exits 2 on a malformed file.
+column, is a ConfigError that names the first bad line by its 1-based
+number in the file (the header is line 1), so `barriersmc plot` exits 2
+on a malformed file.
 """
 
 from __future__ import annotations
@@ -370,20 +372,39 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     _write_columns(path, TRAJECTORY_COLUMNS, [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
 
 
+def _first_bad_line(lines: List[str], width: int) -> str:
+    """Name the first data line the strict parse rejects, as `line N: ...`
+    with N the 1-based file line (the header is line 1). Runs on the error
+    path only."""
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",") if line else []
+        if len(fields) != width:
+            return f"line {n}: {len(fields)} fields, expected {width}"
+        for col, value in enumerate(fields):
+            try:  # the parser that rejected the file, one field at a time
+                np.loadtxt([line], delimiter=",", comments=None, usecols=col)
+            except ValueError:
+                return f"line {n}: {TRAJECTORY_COLUMNS[col]} is not a number: {value!r}"
+    return "data rows do not parse as numbers"
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a bare trajectory (no simulation metadata) from a CSV in the
     format `write_trajectory_csv` writes; any other file is a ConfigError."""
     header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
     try:  # ConfigError and UnicodeDecodeError are ValueErrors: both get the path
         lines = Path(path).read_text().splitlines()
-        if len(lines) < 2 or lines[0] != header or "" in lines:  # loadtxt skips blanks
+        if len(lines) < 2 or lines[0] != header:
             raise ConfigError(f"not a trajectory CSV: needs the header {header}, "
-                              "then data rows and no blank line")
-        # loadtxt rejects rows of unequal field count, and with comments=None
-        # it reads a '#' line as a bad number
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
-        if data.shape[1] != width:
-            raise ConfigError(f"{data.shape[1]} fields per row, expected {width}")
+                              "then data rows")
+        data = None
+        if "" not in lines:  # loadtxt would skip a blank line
+            try:  # with comments=None a '#' line is a bad number
+                data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
+            except ValueError:
+                pass
+        if data is None or data.shape[1] != width:
+            raise ConfigError(_first_bad_line(lines, width))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return Trajectory(*data.T)

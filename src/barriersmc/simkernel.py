@@ -3,6 +3,12 @@
 Explicit Euler at the controller's sample step, disturbance sampled at the
 left endpoint. Deterministic: identical inputs give bit-identical
 trajectories.
+
+Each disturbance signal is a frozen dataclass whose `__call__(t)` samples
+it, just as each controller descriptor carries its `control`; `simulate`
+binds both once and runs no dispatch over variants per step. A new signal
+is a class with its `__call__`, added to `Signal` and to the config schema
+in `experiment`.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,10 +52,18 @@ class Sinusoid:
     omega: float
     phase: float = 0.0
 
+    def __call__(self, t: float) -> float:
+        return self.amplitude * math.sin(self.omega * t + self.phase)
+
 
 @dataclass(frozen=True)
 class PiecewiseVII:
     """0.1*sin(3t) for t <= 5 s (inclusive), 0.2*cos(5t) after."""
+
+    def __call__(self, t: float) -> float:
+        if t <= 5.0:
+            return 0.1 * math.sin(3.0 * t)
+        return 0.2 * math.cos(5.0 * t)
 
 
 @dataclass(frozen=True)
@@ -65,8 +79,20 @@ class CustomTable:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("table times must be strictly increasing")
 
+    def __call__(self, t: float) -> float:
+        if t < self.times[0] or t > self.times[-1]:
+            raise ExtrapolationError(
+                f"t = {t:g} outside table domain [{self.times[0]:g}, {self.times[-1]:g}]"
+            )
+        i = bisect.bisect_right(self.times, t) - 1
+        if i == len(self.times) - 1:
+            return self.values[-1]
+        t0, t1 = self.times[i], self.times[i + 1]
+        v0, v1 = self.values[i], self.values[i + 1]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-Signal = Union[Sinusoid, PiecewiseVII, CustomTable]
+
+Signal = Sinusoid | PiecewiseVII | CustomTable
 
 
 @dataclass(frozen=True)
@@ -83,33 +109,13 @@ class DisturbanceSpec:
     d_bar: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.signal, Signal):
+            raise TypeError(f"not a disturbance signal: {self.signal!r}")
         if not (math.isfinite(self.d_bar) and self.d_bar > 0):
             raise ValueError(f"d_bar must be positive, got {self.d_bar!r}")
         if (isinstance(self.signal, CustomTable)
                 and max(map(abs, self.signal.values)) > self.d_bar):
             raise ValueError(f"table |d| exceeds declared d_bar = {self.d_bar!r}")
-
-
-def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:
-    sig = spec.signal
-    if isinstance(sig, Sinusoid):
-        return sig.amplitude * math.sin(sig.omega * t + sig.phase)
-    if isinstance(sig, PiecewiseVII):
-        if t <= 5.0:
-            return 0.1 * math.sin(3.0 * t)
-        return 0.2 * math.cos(5.0 * t)
-    if isinstance(sig, CustomTable):
-        if t < sig.times[0] or t > sig.times[-1]:
-            raise ExtrapolationError(
-                f"t = {t:g} outside table domain [{sig.times[0]:g}, {sig.times[-1]:g}]"
-            )
-        i = bisect.bisect_right(sig.times, t) - 1
-        if i == len(sig.times) - 1:
-            return sig.values[-1]
-        t0, t1 = sig.times[i], sig.times[i + 1]
-        v0, v1 = sig.values[i], sig.values[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-    raise TypeError(f"not a disturbance signal: {sig!r}")
 
 
 @dataclass(frozen=True)
@@ -175,18 +181,19 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
                           u_app[:k].copy(), g_rec[:k].copy(), d_rec[:k].copy(),
                           cfg, c.spec, d)
 
+    control, signal = c.control, d.signal
     s = cfg.s0
     for k in range(n + 1):
         tk = t[k]
         if not math.isfinite(s):
             raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, partial(k))
-        dk = eval_disturbance(d, tk)
+        dk = signal(tk)
         if abs(dk) > d.d_bar * (1.0 + 1e-12):
             raise DisturbanceBoundError(
                 f"|d({tk:g})| = {abs(dk):g} exceeds declared d_bar = {d.d_bar:g}"
             )
         try:
-            u = c.control(tk, s, cfg.h)
+            u = control(tk, s, cfg.h)
         except BarrierPoleError as exc:
             raise SimulationDiverged(
                 f"controller pole at t = {tk:g}: {exc}", tk, partial(k)

@@ -21,8 +21,6 @@ from barriersmc.gains import (
     ConvexParams,
     PsbParams,
     UnsupportedVariantError,
-    eval_convex,
-    inv_convex,
 )
 from barriersmc.simkernel import (
     DisturbanceSpec,
@@ -143,15 +141,15 @@ class TestOverestimation:
 
 class TestSatTimeBound:
     def test_already_converged(self):
-        sigma1 = inv_convex(CV, 0.2)
+        sigma1 = CV.inverse(0.2)
         assert sat_time_bound(sigma1, CV, 5.0, 0.2) == 0.0
 
     def test_inside_cap_region_reduces(self):
         # |s0| below K^{-1}(k_max): no capped descent leg
-        sigma1 = inv_convex(CV, 0.2)
+        sigma1 = CV.inverse(0.2)
         s0 = 0.03
         s_star = sigma1 + 0.5 * (s0 - sigma1)
-        expected = (s0 - sigma1) / (eval_convex(CV, s_star) - 0.2)
+        expected = (s0 - sigma1) / (CV.gain(s_star) - 0.2)
         assert sat_time_bound(s0, CV, 5.0, 0.2) == pytest.approx(expected)
 
     def test_assumption_violated(self):
@@ -203,10 +201,8 @@ class TestCompareConvergence:
 def test_intersection_premise_of_benchmark_laws():
     # the two tuned laws cross at ~the shared band radius, where both equal
     # the disturbance bound
-    sigma_c = inv_convex(CV, 0.2)
-    from barriersmc.gains import eval_concave
-    assert eval_concave(CC, sigma_c) == pytest.approx(eval_convex(CV, sigma_c),
-                                                      rel=1e-2)
+    sigma_c = CV.inverse(0.2)
+    assert CC.gain(sigma_c) == pytest.approx(CV.gain(sigma_c), rel=1e-2)
 
 
 def test_default_chatter_window_is_final_fifth():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -186,17 +187,30 @@ def test_plot_missing_dir(tmp_path):
                      "sliding"]) == cli.EXIT_CONFIG
 
 
-def test_replay_outputs_match_benchmark_sha256(tmp_path):
-    # the benchmark's replay workload: both campaigns, then the four figures
+@pytest.fixture
+def replay_script():
+    spec = importlib.util.spec_from_file_location(
+        "run_paper_experiments", REPO / "scripts" / "run_paper_experiments.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script):
+    # the replay script runs what the benchmark's replay workload runs: both
+    # campaigns through `run`, then the four figures through `plot`
+    assert replay_script.main(["--out", str(tmp_path)]) == cli.EXIT_OK
     golden = json.loads((REPO / "benchmark" / "replay_sha256.json").read_text())
-    for cfg, sub, figures in ((SEC7, "nominal", ("sliding", "gains", "inputs")),
-                              (SEC3, "saturated", ("escape",))):
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / sub)]) == cli.EXIT_OK
-        for figure in figures:
-            assert cli.main(["plot", str(tmp_path / sub), "--figure", figure]) == cli.EXIT_OK
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     assert got == golden
+
+
+@pytest.mark.parametrize("text, code", [(FAILING, cli.EXIT_EXPECTATION),
+                                        (DIVERGING, cli.EXIT_DIVERGED)])
+def test_replay_script_exits_with_the_cli_code(tmp_path, replay_script, text, code):
+    replay_script.CAMPAIGNS = {"only": (write(tmp_path, text), ("sliding",))}
+    assert replay_script.main(["--out", str(tmp_path / "out")]) == code
 
 
 # 41 samples: a small trajectory CSV to corrupt
@@ -209,25 +223,47 @@ def run_small(tmp_path, text=SMALL):
     return out
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + ",zero"] + rows[4:],
-    lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:],
-    lambda rows: rows[:3] + [rows[3] + ",0"] + rows[4:],
-    lambda rows: rows[:3] + [""] + rows[3:],
-    lambda rows: rows[:3] + ["# comment"] + rows[3:],
-    lambda rows: rows[:1],
-    lambda rows: ["t,s,u,u_applied,gain,d"] + rows[1:],
+@pytest.mark.parametrize("mangle, where", [
+    (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + ",zero"] + rows[4:],
+     "line 4: d is not a number: 'zero'"),
+    (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:],
+     "line 4: 5 fields, expected 6"),
+    (lambda rows: rows[:3] + [rows[3] + ",0"] + rows[4:], "line 4: 7 fields, expected 6"),
+    (lambda rows: rows[:3] + [""] + rows[3:], "line 4: 0 fields, expected 6"),
+    (lambda rows: rows[:3] + ["# comment"] + rows[3:], "line 4: 1 fields, expected 6"),
+    (lambda rows: rows[:1], None),
+    (lambda rows: ["t,s,u,u_applied,gain,d"] + rows[1:], None),
 ], ids=["non_number", "short_row", "long_row", "blank_line", "hash_line",
         "header_only", "wrong_header"])
-def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle):
+def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
     out = run_small(tmp_path)
     csv = out / "still.csv"
     csv.write_text("\n".join(mangle(csv.read_text().splitlines())) + "\n")
     capsys.readouterr()
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usecols" not in err
     assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {csv}: ")
+    if where is not None:  # the 1-based file line, the header being line 1
+        assert err == f"configuration error: {csv}: {where}\n"
+
+
+def test_unwritable_run_output_exits_2(tmp_path, capsys):
+    afile = write(tmp_path, "", "afile")
+    code = cli.main(["run", str(write(tmp_path, QUICK)), "--out", str(afile / "sub")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in err and len(err.splitlines()) == 1 and str(afile) in err
+
+
+def test_unwritable_plot_output_exits_2(tmp_path, capsys):
+    out = run_small(tmp_path)
+    target = tmp_path / "nodir" / "f.csv"
+    capsys.readouterr()
+    code = cli.main(["plot", str(out), "--figure", "escape", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in err and len(err.splitlines()) == 1 and str(target) in err
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +312,6 @@ def test_plot_never_tracebacks_on_a_mutated_trajectory(small_pair, which, line, 
     finally:
         path.write_text(text)
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "usecols" not in err.getvalue()
     if code == cli.EXIT_CONFIG:
         assert err.getvalue().startswith("configuration error: ")

@@ -11,12 +11,7 @@ from barriersmc.gains import (
     PsbParams,
     UltimateBound,
     UnsupportedVariantError,
-    eval_concave,
-    eval_convex,
     eval_gain,
-    eval_psb,
-    inv_concave,
-    inv_convex,
     saturate_gain,
     ultimate_bound,
 )
@@ -40,30 +35,30 @@ def bisect_inverse(f, k, lo=0.0, hi=1.0):
 
 class TestConcave:
     def test_zero_at_zero(self):
-        assert eval_concave(CC, 0.0) == 0.0
+        assert CC.gain(0.0) == 0.0
 
     def test_unit_at_scaled_e(self):
         p = ConcaveParams(3.7, 0.2)
-        assert eval_concave(p, p.lambda1 * (math.e - 1.0)) == pytest.approx(p.rho1)
+        assert p.gain(p.lambda1 * (math.e - 1.0)) == pytest.approx(p.rho1)
 
     def test_benchmark_band_gain(self):
         # tuned so the gain meets the 0.2 disturbance bound at |s| ~ 3.02e-3
-        assert eval_concave(CC, 3.02e-3) == pytest.approx(0.2, rel=1e-2)
+        assert CC.gain(3.02e-3) == pytest.approx(0.2, rel=1e-2)
 
     def test_inverse_closed_form(self):
-        assert inv_concave(CC, 0.2) == pytest.approx(3.02e-3, rel=1e-2)
-        assert inv_concave(CC, 0.0) == 0.0
+        assert CC.inverse(0.2) == pytest.approx(3.02e-3, rel=1e-2)
+        assert CC.inverse(0.0) == 0.0
 
     def test_inverse_against_bisection(self):
         p = ConcaveParams(5.0, 0.2033)
-        oracle = bisect_inverse(lambda x: eval_concave(p, x), 2.0)
-        got = inv_concave(p, 2.0)
+        oracle = bisect_inverse(p.gain, 2.0)
+        got = p.inverse(2.0)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx(0.1, rel=1e-3)
 
     def test_inverse_overflow_guard(self):
         with pytest.raises(GainRangeError):
-            inv_concave(ConcaveParams(1.0, 1.0), 800.0)
+            ConcaveParams(1.0, 1.0).inverse(800.0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -76,54 +71,54 @@ class TestConcave:
 
 class TestConvex:
     def test_zero_at_zero(self):
-        assert eval_convex(CV, 0.0) == 0.0
+        assert CV.gain(0.0) == 0.0
 
     def test_rho_at_lambda(self):
         # atan(1) = pi/4 makes the arctan ratio exactly one
-        assert eval_convex(CV, CV.lambda2) == pytest.approx(CV.rho2)
+        assert CV.gain(CV.lambda2) == pytest.approx(CV.rho2)
 
     def test_benchmark_band_gain(self):
-        assert eval_convex(CV, 3.02e-3) == pytest.approx(0.2, rel=1e-2)
+        assert CV.gain(3.02e-3) == pytest.approx(0.2, rel=1e-2)
 
     def test_inverse_closed_form(self):
-        assert inv_convex(CV, 0.2) == pytest.approx(3.02e-3, rel=1e-2)
-        assert inv_convex(CV, 0.0) == 0.0
+        assert CV.inverse(0.2) == pytest.approx(3.02e-3, rel=1e-2)
+        assert CV.inverse(0.0) == 0.0
 
     def test_inverse_against_bisection(self):
-        oracle = bisect_inverse(lambda x: eval_convex(CV, x), 1.3)
-        assert inv_convex(CV, 1.3) == pytest.approx(oracle, rel=1e-10)
+        oracle = bisect_inverse(CV.gain, 1.3)
+        assert CV.inverse(1.3) == pytest.approx(oracle, rel=1e-10)
 
     def test_round_trip_at_fixed_point(self):
         x = 1.7
-        assert inv_convex(CV, eval_convex(CV, x)) == pytest.approx(x, abs=1e-9)
+        assert CV.inverse(CV.gain(x)) == pytest.approx(x, abs=1e-9)
 
     def test_finite_for_large_k(self):
-        assert math.isfinite(inv_convex(CV, 1e12))
+        assert math.isfinite(CV.inverse(1e12))
 
 
 class TestPsb:
     P = PsbParams(0.1, 2.0)
 
     def test_halfway(self):
-        assert eval_psb(self.P, 0.05) == pytest.approx(1.0)
+        assert self.P.gain(0.05) == pytest.approx(1.0)
 
     def test_zero(self):
-        assert eval_psb(self.P, 0.0) == 0.0
+        assert self.P.gain(0.0) == 0.0
 
     def test_negative_past_pole(self):
         # the literal formula flips sign beyond the pole; required behavior
-        assert eval_psb(self.P, 0.2) == pytest.approx(-2.0)
+        assert self.P.gain(0.2) == pytest.approx(-2.0)
 
     def test_pole_raises(self):
         with pytest.raises(BarrierPoleError):
-            eval_psb(self.P, 0.1)
+            self.P.gain(0.1)
 
     def test_sign_change_exactly_at_epsilon(self):
         eps = self.P.epsilon
         below = math.nextafter(eps, 0.0)
         above = math.nextafter(eps, math.inf)
-        assert eval_psb(self.P, below) > 0
-        assert eval_psb(self.P, above) < 0
+        assert self.P.gain(below) > 0
+        assert self.P.gain(above) < 0
 
 
 class TestSaturateGain:
@@ -161,7 +156,7 @@ class TestUltimateBound:
 
 
 def test_eval_gain_dispatch():
-    assert eval_gain(PsbParams(0.1, 2.0), 0.05) == eval_psb(PsbParams(0.1, 2.0), 0.05)
+    assert eval_gain(PsbParams(0.1, 2.0), 0.05) == PsbParams(0.1, 2.0).gain(0.05)
     assert eval_gain(CC, 0.0) == 0.0
     with pytest.raises(UnsupportedVariantError):
         eval_gain("nope", 1.0)
@@ -195,10 +190,10 @@ def test_second_difference_signs_on_grid():
     import numpy as np
     for x in np.geomspace(0.01, 100.0, 200):
         h = x / 100.0
-        d2_cc = eval_concave(CC, x - h) + eval_concave(CC, x + h) - 2 * eval_concave(CC, x)
-        d2_cv = eval_convex(CV, x - h) + eval_convex(CV, x + h) - 2 * eval_convex(CV, x)
-        assert d2_cc <= 1e-12 * (1.0 + abs(eval_concave(CC, x)))
-        assert d2_cv >= -1e-12 * (1.0 + abs(eval_convex(CV, x)))
+        d2_cc = CC.gain(x - h) + CC.gain(x + h) - 2 * CC.gain(x)
+        d2_cv = CV.gain(x - h) + CV.gain(x + h) - 2 * CV.gain(x)
+        assert d2_cc <= 1e-12 * (1.0 + abs(CC.gain(x)))
+        assert d2_cv >= -1e-12 * (1.0 + abs(CV.gain(x)))
 
 
 @pytest.mark.parametrize("law", [CC, CV])

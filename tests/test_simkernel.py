@@ -16,7 +16,6 @@ from barriersmc.simkernel import (
     SimulationDiverged,
     Sinusoid,
     Trajectory,
-    eval_disturbance,
     simulate,
 )
 
@@ -27,31 +26,35 @@ VII = DisturbanceSpec(PiecewiseVII(), 0.2)
 
 class TestDisturbances:
     def test_piecewise_branches(self):
-        assert eval_disturbance(VII, 0.0) == 0.0
+        assert VII.signal(0.0) == 0.0
         # the first branch is inclusive at the boundary
-        assert eval_disturbance(VII, 5.0) == pytest.approx(0.1 * math.sin(15.0))
-        assert eval_disturbance(VII, 5.0 + 1e-9) == pytest.approx(0.2 * math.cos(25.0))
+        assert VII.signal(5.0) == pytest.approx(0.1 * math.sin(15.0))
+        assert VII.signal(5.0 + 1e-9) == pytest.approx(0.2 * math.cos(25.0))
 
     def test_sin_two(self):
         # the config alias sin_two is this sinusoid, bit-identical to 2*sin(t)
         d = DisturbanceSpec(Sinusoid(2.0, 1.0, 0.0), 2.0)
-        assert eval_disturbance(d, math.pi / 2.0) == pytest.approx(2.0)
+        assert d.signal(math.pi / 2.0) == pytest.approx(2.0)
         for t in np.arange(0, 20001) * 1e-3:
-            assert eval_disturbance(d, t) == 2.0 * math.sin(t)
+            assert d.signal(t) == 2.0 * math.sin(t)
 
     def test_sinusoid_phase(self):
         d = DisturbanceSpec(Sinusoid(3.0, 2.0, math.pi / 2.0), 3.0)
-        assert eval_disturbance(d, 0.0) == pytest.approx(3.0)
+        assert d.signal(0.0) == pytest.approx(3.0)
 
     def test_custom_table_interpolates(self):
         d = DisturbanceSpec(CustomTable((0.0, 1.0, 2.0), (0.0, 2.0, 2.0)), 2.0)
-        assert eval_disturbance(d, 0.5) == pytest.approx(1.0)
-        assert eval_disturbance(d, 2.0) == pytest.approx(2.0)
+        assert d.signal(0.5) == pytest.approx(1.0)
+        assert d.signal(2.0) == pytest.approx(2.0)
+
+    def test_rejects_a_non_signal(self):
+        with pytest.raises(TypeError):
+            DisturbanceSpec(lambda t: 0.0, 1.0)
 
     def test_custom_table_rejects_extrapolation(self):
         d = DisturbanceSpec(CustomTable((0.0, 1.0), (0.0, 1.0)), 1.0)
         with pytest.raises(ExtrapolationError):
-            eval_disturbance(d, 1.5)
+            d.signal(1.5)
 
     def test_custom_table_validation(self):
         with pytest.raises(ValueError):
