@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
-trajectory CSV given to `plot` and a file that cannot be read or written
+trajectory CSV given to `plot`, a file that cannot be read or written, a
+non-finite sweep target or budget and an invalid sweep grid point
 included, 3 simulation diverged or its disturbance exceeded d_bar.
 """
 

@@ -558,18 +558,29 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
     """Evaluate (rho, lam) grid points on the base experiment: predicted
     ultimate bound, peak |u|, convergence time into the target band.
     Feasible points (bound <= target and peak within budget) rank first,
-    ordered by convergence time."""
+    ordered by convergence time. A non-finite target or budget, or a grid
+    point with no valid law or no finite bound, is a ConfigError that names
+    it, raised before anything is simulated."""
     if not grid:
         raise ConfigError("sweep grid is empty")
+    for name, value in (("target", target_sigma), ("budget", u_budget)):
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep {name} must be finite, got {value!r}")
     base_law = getattr(base.controller, "law", None)
     if base_law is None:
         raise ConfigError(
             f"controller {type(base.controller).__name__} has no gain law to sweep")
-    rows = []
+    points = []  # every point is checked before the first one is simulated
     for rho, lam in grid:
-        law = type(base_law)(rho, lam)
+        try:
+            law = type(base_law)(rho, lam)
+            bound = ultimate_bound(law, base.disturbance.d_bar).sigma
+        except ValueError as exc:  # GainRangeError included
+            raise ConfigError(f"grid point rho={rho!r}, lam={lam!r}: {exc}") from None
+        points.append((rho, lam, law, bound))
+    rows = []
+    for rho, lam, law, bound in points:
         ctrl = replace(base.controller, law=law)
-        bound = ultimate_bound(law, base.disturbance.d_bar).sigma
         traj = simulate(Controller(ctrl), base.disturbance, base.sim)
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all

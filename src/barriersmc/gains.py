@@ -85,6 +85,8 @@ class ConvexParams:
         if y <= 1.0:
             a = math.atan(y)
             return self.rho2 * a / (0.5 * math.pi - a)
+        if y == math.inf:  # abs_s/lambda2 overflowed: K is unbounded
+            return math.inf
         b = math.atan(1.0 / y)
         return self.rho2 * (0.5 * math.pi - b) / b
 

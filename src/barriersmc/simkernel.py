@@ -9,12 +9,34 @@ it, just as each controller descriptor carries its `control`; `simulate`
 binds both once and runs no dispatch over variants per step. A new signal
 is a class with its `__call__`, added to `Signal` and to the config schema
 in `experiment`.
+
+The kernel's contract
+---------------------
+- Time is a Python float, t_k = k * h, equal to `np.arange(n + 1) * h`
+  element for element; no numpy scalar reaches a signal or a controller.
+- The disturbance does not depend on the state, so its whole column
+  d(t_k), k = 0..n, is sampled before the loop. The last column is kept
+  in a one-entry memo keyed by the signal object's identity plus (h, n),
+  so the grid points of a sweep, which share their base's signal object,
+  sample it once. The key is not `==`: Sinusoid(1, -1, 0.0) and
+  Sinusoid(1, -1, -0.0) are equal with equal hashes, yet their d(0) are
+  0.0 and -0.0, so an equality key would write the wrong bytes.
+- Each step raises its errors in this order: a non-finite state
+  (SimulationDiverged), then a sample outside a custom table
+  (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
+  controller pole or a non-finite control (SimulationDiverged). So a
+  table that ends early raises at its first uncovered sample, unless
+  the state blew up first.
+- The records are `array('d')` columns of the clean steps' length, filled
+  by item stores and wrapped by `np.frombuffer`; the returned trajectory
+  owns them, and its `d` is a copy of the memoised column.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -162,54 +184,87 @@ def n_steps(cfg: SimConfig) -> int:
     return int(math.floor(cfg.t_end / cfg.h + 1e-9))
 
 
+# The last disturbance column sampled, as (signal, h, n, column). One entry
+# serves a sweep, whose grid points all share their base's signal object.
+_last_column: Optional[Tuple[Signal, float, int, array]] = None
+
+
+def _disturbance_column(signal: Signal, h: float, n: int) -> array:
+    """signal(k*h) for k = 0..n, memoised on the signal object's identity
+    (not `==`; see the module docstring).
+
+    The column stops before the first sample that raises; `simulate`
+    samples that step again and raises there, after the checks that come
+    first.
+    """
+    global _last_column
+    memo = _last_column
+    if memo is not None and memo[0] is signal and memo[1] == h and memo[2] == n:
+        return memo[3]
+    column = array("d")
+    append = column.append
+    try:
+        for k in range(n + 1):
+            append(signal(k * h))
+    except Exception:
+        pass  # re-raised in step order by simulate
+    _last_column = (signal, h, n, column)
+    return column
+
+
 def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
     """Run the explicit-Euler loop s_{k+1} = s_k + h*(u_applied + d(t_k)).
 
     Raises SimulationDiverged (with the partial record) if the state or the
-    control goes non-finite, or the controller hits a gain-law pole.
+    control goes non-finite, or the controller hits a gain-law pole;
+    DisturbanceBoundError if a sample exceeds d_bar; ExtrapolationError if
+    a custom table misses a sample time. The module docstring gives the
+    order.
     """
     n = n_steps(cfg)
-    t = np.arange(n + 1) * cfg.h
-    s_rec = np.empty(n + 1)
-    u_cmd = np.empty(n + 1)
-    u_app = np.empty(n + 1)
-    g_rec = np.empty(n + 1)
-    d_rec = np.empty(n + 1)
+    h, u_max = cfg.h, cfg.u_max
+    column = _disturbance_column(d.signal, h, n)
+    over = np.flatnonzero(np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12))
+    m = int(over[0]) if len(over) else len(column)  # the steps that sample d cleanly
+    s_rec, u_cmd, u_app, g_rec = (array("d", [0.0]) * m for _ in range(4))
 
-    def partial(k: int) -> Trajectory:
-        return Trajectory(t[:k], s_rec[:k].copy(), u_cmd[:k].copy(),
-                          u_app[:k].copy(), g_rec[:k].copy(), d_rec[:k].copy(),
+    def record(k: int) -> Trajectory:
+        u = np.frombuffer(u_cmd, count=k)  # u_app is only filled when the clamp can act
+        return Trajectory(np.arange(k) * h, np.frombuffer(s_rec, count=k), u,
+                          u.copy() if u_max is None else np.frombuffer(u_app, count=k),
+                          np.frombuffer(g_rec, count=k), np.frombuffer(column, count=k).copy(),
                           cfg, c.spec, d)
 
-    control, signal = c.control, d.signal
+    control, state = c.control, c.state
+    isfinite = math.isfinite
     s = cfg.s0
-    for k in range(n + 1):
-        tk = t[k]
-        if not math.isfinite(s):
-            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, partial(k))
-        dk = signal(tk)
-        if abs(dk) > d.d_bar * (1.0 + 1e-12):
-            raise DisturbanceBoundError(
-                f"|d({tk:g})| = {abs(dk):g} exceeds declared d_bar = {d.d_bar:g}"
-            )
+    for k, dk in zip(range(m), column):
+        tk = k * h
+        if not isfinite(s):
+            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, record(k))
         try:
-            u = control(tk, s, cfg.h)
+            u = control(tk, s, h)
         except BarrierPoleError as exc:
             raise SimulationDiverged(
-                f"controller pole at t = {tk:g}: {exc}", tk, partial(k)
+                f"controller pole at t = {tk:g}: {exc}", tk, record(k)
             ) from exc
-        if not math.isfinite(u):
-            raise SimulationDiverged(f"control non-finite at t = {tk:g}", tk, partial(k))
-        if cfg.u_max is not None:
-            ua = min(cfg.u_max, max(-cfg.u_max, u))
-        else:
+        if not isfinite(u):
+            raise SimulationDiverged(f"control non-finite at t = {tk:g}", tk, record(k))
+        if u_max is None:
             ua = u
+        else:
+            ua = min(u_max, max(-u_max, u))
+            u_app[k] = ua
         s_rec[k] = s
         u_cmd[k] = u
-        u_app[k] = ua
-        g_rec[k] = c.state.gain
-        d_rec[k] = dk
-        if k < n:
-            s = s + cfg.h * (ua + dk)
-
-    return Trajectory(t, s_rec, u_cmd, u_app, g_rec, d_rec, cfg, c.spec, d)
+        g_rec[k] = state.gain
+        s = s + h * (ua + dk)  # past the last sample the new state is unused
+    if m <= n:  # step m is outside a custom table, or its |d| exceeds d_bar
+        tk = m * h
+        if not isfinite(s):
+            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, record(m))
+        dk = d.signal(tk)  # raises where the column stopped
+        raise DisturbanceBoundError(
+            f"|d({tk:g})| = {abs(dk):g} exceeds declared d_bar = {d.d_bar:g}"
+        )
+    return record(n + 1)

@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import importlib.util
 import io
@@ -93,6 +94,81 @@ def test_sweep_divergence_exits_3_without_traceback(capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_DIVERGED
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_sweep_gain_overflow_exits_3(capsys):
+    # |s|/lam overflows before the convex gain does: a non-finite control,
+    # not a ZeroDivisionError
+    code = cli.main(["sweep", str(SEC7), "--experiment", "cv",
+                     "--grid", "rho=0.5;lam=1e-4", "--target", "0.01", "--budget", "100"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DIVERGED
+    assert err == "simulation error: control non-finite at t = 0.364\n"
+
+
+@pytest.mark.parametrize("base, grid, point", [
+    *((base, grid, point) for base in ("cc", "cv") for grid, point in [
+        ("rho=0;lam=0.05", "rho=0.0, lam=0.05"),
+        ("rho=nan;lam=0.05", "rho=nan, lam=0.05"),
+        ("rho=5;lam=-1", "rho=5.0, lam=-1.0"),
+        ("rho=1,inf;lam=0.05", "rho=inf, lam=0.05"),
+    ]),
+    # a valid law whose band K^{-1}(0.2) = lam*(e^{0.2/rho} - 1) overflows
+    ("cc", "rho=1e-4;lam=0.05", "rho=0.0001, lam=0.05"),
+])
+def test_sweep_invalid_grid_point_exits_2(capsys, base, grid, point):
+    code = cli.main(["sweep", str(SEC7), "--experiment", base, "--grid", grid,
+                     "--target", "0.01", "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith(f"configuration error: grid point {point}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--target", "--budget"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_non_finite_target_or_budget_exits_2(capsys, flag, value):
+    args = {"--target": "0.01", "--budget": "10", flag: value}
+    code = cli.main(["sweep", str(SEC7), "--grid", "rho=1;lam=0.01",
+                     *(f"{name}={v}" for name, v in args.items())])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err == f"configuration error: sweep {flag[2:]} must be finite, got {float(value)!r}\n"
+
+
+# NaN, infinities, zero, negatives and subnormals, plus values a tuning might
+# use; rho = 25 or 0.5 with lam = 1e-4 diverges on the convex bases
+sweep_values = st.one_of(st.floats(), st.floats(1e-3, 30.0),
+                         st.sampled_from([0.0, -1.0, 0.5, 25.0, 1e-4]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(base=st.sampled_from(["cc", "cv", "sat", "tbg"]),
+       rhos=st.lists(sweep_values, min_size=1, max_size=2),
+       lams=st.lists(sweep_values, min_size=1, max_size=2),
+       target=sweep_values, budget=sweep_values)
+def test_sweep_and_validate_never_traceback(tmp_path_factory, base, rhos, lams, target,
+                                            budget):
+    grid = f"rho={','.join(map(repr, rhos))};lam={','.join(map(repr, lams))}"
+    raw = configparser.ConfigParser(interpolation=None)
+    raw.read(SEC7)
+    raw[base].update(rho=repr(rhos[0]), lam=repr(lams[0]), sigma_target=repr(target))
+    cfg = tmp_path_factory.mktemp("fuzz") / "sec7.cfg"
+    with open(cfg, "w") as f:
+        raw.write(f)
+    for argv, codes in [
+        (["sweep", str(SEC7), "--experiment", base, "--grid", grid,
+          f"--target={target!r}", f"--budget={budget!r}"],
+         (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED)),
+        (["validate", str(cfg)], (cli.EXIT_OK, cli.EXIT_CONFIG)),
+    ]:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in codes
+        assert "Traceback" not in err.getvalue()
+        if code != cli.EXIT_OK:
+            assert len(err.getvalue().splitlines()) == 1
 
 
 def custom_table(table_t, table_d, d_bar="1.0", t_end="1.0", h="0.1"):

@@ -95,6 +95,11 @@ class TestConvex:
     def test_finite_for_large_k(self):
         assert math.isfinite(CV.inverse(1e12))
 
+    def test_unbounded_where_the_ratio_overflows(self):
+        # |s|/lambda2 overflows to inf; 1/inf = 0 must not divide by zero
+        assert ConvexParams(5e-4, 1e-4).gain(1e305) == math.inf
+        assert ConvexParams(5e-4, 1e-4).gain(math.inf) == math.inf
+
 
 class TestPsb:
     P = PsbParams(0.1, 2.0)

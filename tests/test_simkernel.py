@@ -1,11 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriersmc.controllers import Controller, FixedSign, KInfty, ObeidTwoPhase
-from barriersmc.gains import BarrierPoleError, ConvexParams, PsbParams
+from barriersmc.controllers import (
+    Controller,
+    FixedSign,
+    KInfty,
+    ObeidTwoPhase,
+    SaturatedKInfty,
+    TbgIntegral,
+    TbgParams,
+)
+from barriersmc.gains import BarrierPoleError, ConcaveParams, ConvexParams, PsbParams
 from barriersmc.simkernel import (
     CustomTable,
     DisturbanceSpec,
@@ -16,6 +25,7 @@ from barriersmc.simkernel import (
     SimulationDiverged,
     Sinusoid,
     Trajectory,
+    n_steps,
     simulate,
 )
 
@@ -145,6 +155,17 @@ class TestSimulate:
         assert isinstance(exc.value.__cause__, BarrierPoleError)
         assert len(exc.value.trajectory) == 1
 
+    def test_columns_share_no_memory(self):
+        # u_applied equals u_commanded without a clamp, and d comes from the
+        # column memo: writing to one run's arrays must touch nothing else
+        cfg = SimConfig(1.0, 0.1, 1.0)
+        a = simulate(Controller(FixedSign(0.5)), VII, cfg)
+        want = a.u_applied.copy(), a.d.copy()
+        a.u_commanded[:] = 7.0
+        a.d[:] = 7.0
+        b = simulate(Controller(FixedSign(0.5)), VII, cfg)
+        assert np.array_equal(a.u_applied, want[0]) and np.array_equal(b.d, want[1])
+
     def test_disturbance_bound_enforced(self):
         d = DisturbanceSpec(Sinusoid(2.0, 1.0), 1.0)  # declared bound too small
         with pytest.raises(DisturbanceBoundError):
@@ -164,3 +185,176 @@ def test_one_step_bound(s0, d_bar, k):
     step = np.abs(np.diff(traj.s))
     limit = cfg.h * (np.abs(traj.u_applied[:-1]) + d_bar)
     assert np.all(step <= limit + 1e-12)
+
+
+# --- simulate against a reference oracle -----------------------------------
+
+
+def _reference_simulate(c, d, cfg):
+    """The kernel's plain form: numpy time grid, numpy record stores and the
+    disturbance sampled and bound-checked at every step. `simulate` must
+    give the same bytes and raise the same errors at the same steps."""
+    n = n_steps(cfg)
+    t = np.arange(n + 1) * cfg.h
+    s_rec = np.empty(n + 1)
+    u_cmd = np.empty(n + 1)
+    u_app = np.empty(n + 1)
+    g_rec = np.empty(n + 1)
+    d_rec = np.empty(n + 1)
+
+    def partial(k):
+        return Trajectory(t[:k], s_rec[:k].copy(), u_cmd[:k].copy(),
+                          u_app[:k].copy(), g_rec[:k].copy(), d_rec[:k].copy(),
+                          cfg, c.spec, d)
+
+    control, signal = c.control, d.signal
+    s = cfg.s0
+    for k in range(n + 1):
+        tk = t[k]
+        if not math.isfinite(s):
+            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, partial(k))
+        dk = signal(tk)
+        if abs(dk) > d.d_bar * (1.0 + 1e-12):
+            raise DisturbanceBoundError(
+                f"|d({tk:g})| = {abs(dk):g} exceeds declared d_bar = {d.d_bar:g}"
+            )
+        try:
+            u = control(tk, s, cfg.h)
+        except BarrierPoleError as exc:
+            raise SimulationDiverged(
+                f"controller pole at t = {tk:g}: {exc}", tk, partial(k)
+            ) from exc
+        if not math.isfinite(u):
+            raise SimulationDiverged(f"control non-finite at t = {tk:g}", tk, partial(k))
+        if cfg.u_max is not None:
+            ua = min(cfg.u_max, max(-cfg.u_max, u))
+        else:
+            ua = u
+        s_rec[k] = s
+        u_cmd[k] = u
+        u_app[k] = ua
+        g_rec[k] = c.state.gain
+        d_rec[k] = dk
+        if k < n:
+            s = s + cfg.h * (ua + dk)
+
+    return Trajectory(t, s_rec, u_cmd, u_app, g_rec, d_rec, cfg, c.spec, d)
+
+
+COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
+
+
+def _outcome(sim, spec, d, cfg):
+    """The column bytes of a run, or its error: type, message, abort time
+    and the bytes of the partial record."""
+    try:
+        with np.errstate(over="ignore"):  # a table's numpy samples make s a numpy scalar
+            traj = sim(Controller(spec), d, cfg)
+    except (SimulationDiverged, DisturbanceBoundError, ExtrapolationError) as exc:
+        partial = getattr(exc, "trajectory", None)
+        return (type(exc), str(exc), getattr(exc, "t", None),
+                None if partial is None else tuple(getattr(partial, c).tobytes()
+                                                   for c in COLUMNS))
+    return tuple(getattr(traj, c).tobytes() for c in COLUMNS)
+
+
+def assert_matches_reference(spec, d, cfg):
+    want = _outcome(_reference_simulate, spec, d, cfg)
+    # twice back to back: the second run samples d from the column memo
+    assert _outcome(simulate, spec, d, cfg) == want
+    assert _outcome(simulate, spec, d, cfg) == want
+    return want
+
+
+# A rho of 1e3 and more makes the convex gain overshoot, and soon overflow.
+positive = st.floats(1e-3, 10.0)
+rhos = positive | st.floats(1e3, 1e300)
+laws = st.one_of(st.builds(ConcaveParams, rhos, positive),
+                 st.builds(ConvexParams, rhos, positive))
+controllers = st.one_of(
+    st.builds(KInfty, laws),
+    st.builds(SaturatedKInfty, laws, positive),
+    st.builds(ObeidTwoPhase, st.builds(PsbParams, positive, positive)),
+    st.builds(TbgIntegral, laws, st.builds(TbgParams, positive,
+                                           st.floats(min_value=1e-6, max_value=0.5))),
+    st.builds(FixedSign, st.floats(min_value=0.0, max_value=5.0)),
+)
+zeros = st.sampled_from([0.0, -0.0])
+signals = st.one_of(
+    st.builds(Sinusoid, st.floats(-2.0, 2.0), st.floats(-5.0, 5.0),
+              st.one_of(zeros, st.floats(-4.0, 4.0))),
+    st.just(PiecewiseVII()),
+    # a table that may end before t_end: ExtrapolationError at its first uncovered sample
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5).flatmap(
+        lambda values: st.floats(0.1, 8.0).map(lambda end: CustomTable(
+            tuple(end * i / (len(values) - 1) for i in range(len(values))),
+            tuple(values)))),
+)
+
+
+@st.composite
+def disturbances(draw):
+    signal = draw(signals)
+    peak = (max(map(abs, signal.values)) if isinstance(signal, CustomTable)
+            else abs(signal.amplitude) if isinstance(signal, Sinusoid) else 0.2)
+    # a table's nodes must fit d_bar; a sinusoid's d_bar may be too small
+    low = 1.0 if isinstance(signal, CustomTable) else 0.5
+    return DisturbanceSpec(signal, max(peak, 1e-3) * draw(st.floats(low, 1.5)))
+
+
+@st.composite
+def sim_configs(draw):
+    h = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.25, 0.5]))
+    # clamp a quarter of the runs; a clamped run cannot diverge
+    u_max = draw(st.floats(0.1, 5.0)) if draw(st.integers(0, 3)) == 0 else None
+    return SimConfig(draw(st.floats(-2.0, 2.0)), h, h * draw(st.integers(1, 60)), u_max)
+
+
+@settings(deadline=None, max_examples=150)
+@given(controllers, disturbances(), sim_configs(), sim_configs())
+def test_simulate_matches_reference(spec, d, cfg, other_cfg):
+    assert_matches_reference(spec, d, cfg)
+    # the same signal at another (h, n) must not reuse the column
+    assert_matches_reference(spec, d, other_cfg)
+    # an equal signal object that is not the same one
+    assert_matches_reference(spec, replace(d, signal=replace(d.signal)), cfg)
+
+
+DIVERGING = KInfty(ConvexParams(1e100, 0.01))  # the control overflows at t = 0.3 for h = 0.1
+
+
+@pytest.mark.parametrize("spec, d, cfg, error", [
+    (FixedSign(0.0), DisturbanceSpec(CustomTable((0.0, 0.5), (0.1, 0.1)), 0.1),
+     SimConfig(1.0, 0.1, 1.0), ExtrapolationError),
+    (DIVERGING, DisturbanceSpec(CustomTable((0.0, 5.0), (0.1, 0.1)), 0.1),
+     SimConfig(1.0, 0.1, 10.0), SimulationDiverged),
+    (FixedSign(0.0), DisturbanceSpec(Sinusoid(2.0, 1.0), 1.0),
+     SimConfig(0.0, 0.1, 10.0), DisturbanceBoundError),
+    (DIVERGING, DisturbanceSpec(Sinusoid(2.0, 1.0), 1.0),
+     SimConfig(1.0, 0.1, 10.0), SimulationDiverged),
+    (ObeidTwoPhase(PsbParams(0.1, 1.0)), DisturbanceSpec(CustomTable((0.0, 1.0), (1.5, 1.5)), 1.5),
+     SimConfig(0.05, 0.1, 1.0), SimulationDiverged),
+    # the state overflows on the very step whose sample the table misses
+    (FixedSign(1e308), DisturbanceSpec(CustomTable((0.0, 5.0), (0.1, 0.1)), 0.1),
+     SimConfig(1.0, 10.0, 20.0), SimulationDiverged),
+    (KInfty(CV), VII, SimConfig(1.0, 1e-3, 2.0, u_max=1.5), None),
+], ids=["table_ends_early", "diverges_before_table_ends", "bound_violation",
+        "diverges_before_bound_violation", "pole", "state_overflows_where_table_ends",
+        "clamped"])
+def test_simulate_matches_reference_on_edge_cases(spec, d, cfg, error):
+    got = assert_matches_reference(spec, d, cfg)
+    assert (got[0] if error else None) is error
+
+
+def test_equal_signals_with_different_bytes_do_not_share_a_column():
+    # equal and with equal hashes, but d(0) is sin(-0.0 + 0.0) = 0.0 for one
+    # and sin(-0.0 + -0.0) = -0.0 for the other
+    plus, minus = Sinusoid(1.0, -1.0, 0.0), Sinusoid(1.0, -1.0, -0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    cfg = SimConfig(1.0, 0.1, 1.0)
+    firsts = []
+    for signal in (plus, minus, plus):
+        d = DisturbanceSpec(signal, 1.0)
+        assert_matches_reference(FixedSign(0.0), d, cfg)
+        firsts.append(simulate(Controller(FixedSign(0.0)), d, cfg).d[:1].tobytes())
+    assert firsts[0] != firsts[1] and firsts[0] == firsts[2]
