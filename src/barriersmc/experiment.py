@@ -1,12 +1,21 @@
 """Declarative experiment configs, batch runner, parameter sweeps, and
 columnar plot-data emission.
 
-Config format: INI sections, one experiment per section. The schema is
-strict: unknown keys and missing required keys are rejected with the
-section and field named, so a typo fails loudly instead of silently
-simulating the wrong controller. Numeric fields are plain floats
-(scientific notation accepted); booleans are true/false. One schema
-table, below, drives both `loads_config` and `dumps_config`.
+Config format: INI sections, one experiment per section, read by a strict
+reader of our own. A line is blank, a full-line comment whose first
+non-blank character is `#` or `;`, a `[name]` header (the name is taken
+verbatim between the brackets; nothing may follow the `]`), or a
+`key = value` line, split at the first `=`, with the key and the value
+stripped of surrounding blanks. Anything else is a ConfigError that names
+`source:line`: a `key: value` line, an indented continuation line, a
+`[DEFAULT]` section, a header followed by text, an empty header, a key
+before any section, and a duplicate section or key; so is a file that
+does not decode as text. The schema is strict too: unknown keys and
+missing required keys are rejected with the section and field named, so a
+typo fails loudly instead of silently simulating the wrong controller.
+Numeric fields are plain floats (scientific notation accepted); booleans
+are true/false. One schema table, below, drives both `loads_config` and
+`dumps_config`.
 
 Section keys
 ------------
@@ -19,7 +28,8 @@ controller   kinfty | saturated | obeid | tbg | fixed_sign
 disturbance  piecewise_vii | sin_two | sinusoid | custom
   sin_two:    alias for sinusoid with amplitude 2, omega 1, phase_rad 0;
               `dumps_config` writes it back as that sinusoid
-  sinusoid:   amplitude, omega, phase_rad
+  sinusoid:   amplitude, omega, phase_rad; omega*t + phase_rad must stay
+              finite up to the last sample time, n_steps * h
   custom:     table_t, table_d (comma-separated floats); the table must
               cover every sample time, [0, n_steps * h], and its values
               must stay within d_bar
@@ -50,7 +60,6 @@ on a malformed file.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -128,12 +137,18 @@ class ExperimentSpec:
                 raise ValueError("chattering window must satisfy 0 <= t0 < t1 <= t_end")
         if self.expect != Expectations() and self.sigma_target is None:
             raise ValueError("declared expectations require sigma_target")
-        table = self.disturbance.signal
-        if isinstance(table, CustomTable):
-            # the last sample time, computed as simulate computes it
-            t_last = n_steps(self.sim) * self.sim.h
-            if table.times[0] > 0.0 or table.times[-1] < t_last:
+        signal = self.disturbance.signal
+        # the last sample time, computed as simulate computes it
+        t_last = n_steps(self.sim) * self.sim.h
+        if isinstance(signal, CustomTable):
+            if signal.times[0] > 0.0 or signal.times[-1] < t_last:
                 raise ValueError(f"custom table does not cover the samples [0, {t_last!r}]")
+        elif isinstance(signal, Sinusoid):
+            # finite at t_last means finite at every earlier sample; sin(inf)
+            # raises in the middle of a run
+            if not math.isfinite(signal.omega * t_last + signal.phase):
+                raise ValueError(f"sinusoid argument omega*t + phase overflows by "
+                                 f"t = {t_last!r}")
 
 
 # --- config schema ---------------------------------------------------------
@@ -143,7 +158,7 @@ class _Section:
 
     def __init__(self, name: str, items: Dict[str, str]):
         self.name = name
-        self.items = dict(items)
+        self.items = items  # consumed: each key read is popped
 
     def take(self, key: str) -> str:
         try:
@@ -320,24 +335,60 @@ def _parse_section(name: str, items: Dict[str, str]) -> ExperimentSpec:
     return spec
 
 
+def _read_ini(text: str, source: str) -> Dict[str, Dict[str, str]]:
+    """Split config text into {section: {key: value}} by the grammar in the
+    module docstring; any other line is a ConfigError naming source:line."""
+    sections: Dict[str, Dict[str, str]] = {}
+    items = None
+    for n, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            why = "indented line (continuation lines are not supported)"
+        elif stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name:
+                why = "a section header is [name] alone on its line"
+            elif name == "DEFAULT":
+                why = "[DEFAULT] sections are not supported"
+            elif name in sections:
+                why = f"duplicate section [{name}]"
+            else:
+                items = sections[name] = {}
+                continue
+        else:
+            key, eq, value = stripped.partition("=")
+            key = key.rstrip()
+            if not eq or not key or ":" in key:
+                why = "expected 'key = value'"
+            elif items is None:
+                why = f"key '{key}' before any section header"
+            elif key in items:
+                why = f"duplicate key '{key}'"
+            else:
+                items[key] = value.strip()
+                continue
+        raise ConfigError(f"{source}:{n}: {why}")
+    return sections
+
+
 def loads_config(text: str, source: str = "<string>") -> List[ExperimentSpec]:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep keys as written; schema is lowercase
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    names = parser.sections()
-    if not names:
+    sections = _read_ini(text, source)
+    if not sections:
         raise ConfigError(f"{source}: no experiment sections found")
-    return [_parse_section(name, dict(parser.items(name))) for name in names]
+    return [_parse_section(name, items) for name, items in sections.items()]
 
 
 def load_config(path) -> List[ExperimentSpec]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return loads_config(path.read_text(), source=str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return loads_config(text, source=str(path))
 
 
 def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
@@ -353,10 +404,6 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
         _SPEC.dump(spec, out)
         out.append("\n")
     return "".join(out)
-
-
-def write_config(specs: Sequence[ExperimentSpec], path) -> None:
-    Path(path).write_text(dumps_config(specs))
 
 
 # --- trajectory CSV --------------------------------------------------------

@@ -3,6 +3,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -212,6 +215,41 @@ def test_run_disturbance_bound_violation_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.err
     row = captured.out.splitlines()[1].split(",")
     assert row[0] == "still" and row[6] == "error" and "d_bar" in row[7]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_config_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "c.cfg"
+    p.write_bytes(b"\xff\xfe" + QUICK.encode())
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(p), *out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {p}: ") and len(err.splitlines()) == 1
+
+
+def test_sinusoid_argument_overflow_exits_2(tmp_path, capsys):
+    # omega * 3.0 overflows to inf at the last sample, and sin(inf) raises
+    text = QUICK.replace("omega = 1.0", "omega = 1e308").replace(
+        "h = 0.001\nt_end = 0.1", "h = 0.5\nt_end = 3.0")
+    p = write(tmp_path, text)
+    assert cli.main(["validate", str(p)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("configuration error: [still] ")
+                                 and "sinusoid" in line for line in err)
+
+
+def test_cli_and_config_loading_import_no_configparser():
+    # a fresh interpreter: the test process itself imports configparser
+    code = ("import sys\nfrom barriersmc import cli\n"
+            f"for path in ({str(SEC3)!r}, {str(SEC7)!r}):\n"
+            "    cli.experiment.load_config(path)\n"
+            "print('configparser' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_run_missing_config(tmp_path):

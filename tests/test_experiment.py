@@ -1,4 +1,6 @@
+import configparser
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from barriersmc.experiment import (
     run_batch,
     run_experiment,
     sweep,
-    write_config,
     write_trajectory_csv,
 )
 from barriersmc.gains import ConcaveParams, ConvexParams, PsbParams
@@ -152,12 +153,86 @@ class TestConfigRoundTrip:
 
     def test_write_and_load_file(self, tmp_path):
         p = tmp_path / "rt.cfg"
-        write_config(ALL_VARIANT_SPECS, p)
+        p.write_text(dumps_config(ALL_VARIANT_SPECS))
         assert load_config(p) == ALL_VARIANT_SPECS
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError):
             dumps_config([quick_spec("same"), quick_spec("same")])
+
+
+def configparser_dicts(text):
+    """The oracle: what configparser reads from config text."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+# characters for comment and value text, the delimiters and blanks included
+LINE_CHARS = "ab1.-e=:;#[] \t\u00e9\u2028"
+
+
+@st.composite
+def decorated_config(draw):
+    """dumps_config output with blank and comment lines inserted, the
+    blanks around each `=` changed and some values extended by `=...`."""
+    specs = draw(st.lists(st.sampled_from(ALL_VARIANT_SPECS), min_size=1,
+                          unique_by=lambda spec: spec.name))
+    # one seed, not one draw per character: per-character draws made the
+    # property take ~40 ms an example
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def blank():
+        return rnd.choice(["", " ", "  ", "\t"])
+
+    def text():
+        return "".join(rnd.choices(LINE_CHARS, k=rnd.randrange(12)))
+
+    lines = []
+    for line in dumps_config(specs).splitlines():
+        for _ in range(rnd.randrange(3)):
+            lines.append(rnd.choice([blank(), blank() + rnd.choice("#;") + text()]))
+        if "=" in line:
+            key, _, value = line.partition(" = ")
+            if rnd.random() < 0.3:
+                value += "=" + text()
+            line = f"{key}{blank()}={blank()}{value}{blank()}"
+        lines.append(line)
+    return "\n".join(lines) + rnd.choice(["", "\n", "\n\n"])
+
+
+class TestReadIni:
+    @pytest.mark.parametrize("path", [SEC7, SEC3], ids=["sec7", "sec3"])
+    def test_bundled_configs_read_as_configparser_reads_them(self, path):
+        text = path.read_text()
+        assert experiment._read_ini(text, str(path)) == configparser_dicts(text)
+
+    @settings(deadline=None, max_examples=200)
+    @given(decorated_config())
+    def test_reads_what_configparser_reads(self, text):
+        assert experiment._read_ini(text, "gen.cfg") == configparser_dicts(text)
+
+    @pytest.mark.parametrize("text, line, configparser_accepts", [
+        ("[x]\nk = 1\nj: 2\n", 3, True),  # key: value
+        ("[x]\nk = 1\n  2\n", 3, True),  # continuation line
+        ("[x]\nk = 1\n[DEFAULT]\nj = 2\n", 3, True),
+        ("[x] junk\nk = 1\n", 1, True),
+        ("[]\nk = 1\n", 1, False),
+        ("# header below\nk = 1\n[x]\n", 2, False),
+        ("[x]\nk = 1\n\n[x]\nj = 2\n", 4, False),
+        ("[x]\nk = 1\nj = 2\nk = 3\n", 4, False),
+    ], ids=["colon", "continuation", "default", "header_junk", "empty_header",
+            "key_outside_section", "duplicate_section", "duplicate_key"])
+    def test_rejected_form_names_source_and_line(self, text, line, configparser_accepts):
+        with pytest.raises(ConfigError, match=rf"^src\.cfg:{line}: "):
+            loads_config(text, source="src.cfg")
+        try:
+            configparser_dicts(text)
+            accepted = True
+        except configparser.Error:
+            accepted = False
+        assert accepted == configparser_accepts
 
 
 def assert_columns_bitwise_equal(a: Trajectory, b: Trajectory) -> None:
