@@ -3,8 +3,9 @@
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
 trajectory CSV given to `plot`, a file that cannot be read or written, a
-non-finite sweep target or budget and an invalid sweep grid point
-included, 3 simulation diverged or its disturbance exceeded d_bar.
+non-finite sweep target or budget, a sweep grid axis given twice and an
+invalid sweep grid point included, 3 simulation diverged or its
+disturbance exceeded d_bar.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def _parse_grid(text: str):
         name = name.strip()
         if name not in ("rho", "lam"):
             raise ConfigError(f"unknown grid axis {name!r} (expected rho or lam)")
+        if name in axes:
+            raise ConfigError(f"duplicate grid axis {name!r}")
         try:
             axes[name] = [float(v) for v in values.split(",")]
         except ValueError:

@@ -625,10 +625,11 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         except ValueError as exc:  # GainRangeError included
             raise ConfigError(f"grid point rho={rho!r}, lam={lam!r}: {exc}") from None
         points.append((rho, lam, law, bound))
+    column = base.disturbance.sample(base.sim.h, n_steps(base.sim))  # shared by every point
     rows = []
     for rho, lam, law, bound in points:
         ctrl = replace(base.controller, law=law)
-        traj = simulate(Controller(ctrl), base.disturbance, base.sim)
+        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column)
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv

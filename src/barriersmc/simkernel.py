@@ -5,8 +5,9 @@ left endpoint. Deterministic: identical inputs give bit-identical
 trajectories.
 
 Each disturbance signal is a frozen dataclass whose `__call__(t)` samples
-it, just as each controller descriptor carries its `control`; `simulate`
-binds both once and runs no dispatch over variants per step. A new signal
+it, just as each controller descriptor carries its `control`;
+`DisturbanceSpec.sample` and `simulate` bind them once and run no dispatch
+over variants per step. A new signal
 is a class with its `__call__`, added to `Signal` and to the config schema
 in `experiment`.
 
@@ -15,12 +16,12 @@ The kernel's contract
 - Time is a Python float, t_k = k * h, equal to `np.arange(n + 1) * h`
   element for element; no numpy scalar reaches a signal or a controller.
 - The disturbance does not depend on the state, so its whole column
-  d(t_k), k = 0..n, is sampled before the loop. The last column is kept
-  in a one-entry memo keyed by the signal object's identity plus (h, n),
-  so the grid points of a sweep, which share their base's signal object,
-  sample it once. The key is not `==`: Sinusoid(1, -1, 0.0) and
-  Sinusoid(1, -1, -0.0) are equal with equal hashes, yet their d(0) are
-  0.0 and -0.0, so an equality key would write the wrong bytes.
+  d(t_k), k = 0..n, is sampled before the loop by
+  `DisturbanceSpec.sample(h, n)`. A caller that runs one disturbance
+  many times, as a sweep does over its grid points, samples the column
+  once and passes it in: `simulate(c, d, cfg, column)` requires that
+  `column` equals `d.sample(cfg.h, n_steps(cfg))`, and samples it itself
+  when none is passed. The kernel keeps no state between calls.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
@@ -29,7 +30,7 @@ The kernel's contract
   the state blew up first.
 - The records are `array('d')` columns of the clean steps' length, filled
   by item stores and wrapped by `np.frombuffer`; the returned trajectory
-  owns them, and its `d` is a copy of the memoised column.
+  owns them, and its `d` is a copy of the column, which may be shared.
 """
 
 from __future__ import annotations
@@ -139,6 +140,22 @@ class DisturbanceSpec:
                 and max(map(abs, self.signal.values)) > self.d_bar):
             raise ValueError(f"table |d| exceeds declared d_bar = {self.d_bar!r}")
 
+    def sample(self, h: float, n: int) -> array:
+        """signal(k*h) for k = 0..n.
+
+        The column stops before the first sample that raises; `simulate`
+        samples that step again and raises there, after the checks that
+        come first.
+        """
+        column = array("d")
+        append, signal = column.append, self.signal
+        try:
+            for k in range(n + 1):
+                append(signal(k * h))
+        except Exception:
+            pass  # re-raised in step order by simulate
+        return column
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -184,36 +201,12 @@ def n_steps(cfg: SimConfig) -> int:
     return int(math.floor(cfg.t_end / cfg.h + 1e-9))
 
 
-# The last disturbance column sampled, as (signal, h, n, column). One entry
-# serves a sweep, whose grid points all share their base's signal object.
-_last_column: Optional[Tuple[Signal, float, int, array]] = None
-
-
-def _disturbance_column(signal: Signal, h: float, n: int) -> array:
-    """signal(k*h) for k = 0..n, memoised on the signal object's identity
-    (not `==`; see the module docstring).
-
-    The column stops before the first sample that raises; `simulate`
-    samples that step again and raises there, after the checks that come
-    first.
-    """
-    global _last_column
-    memo = _last_column
-    if memo is not None and memo[0] is signal and memo[1] == h and memo[2] == n:
-        return memo[3]
-    column = array("d")
-    append = column.append
-    try:
-        for k in range(n + 1):
-            append(signal(k * h))
-    except Exception:
-        pass  # re-raised in step order by simulate
-    _last_column = (signal, h, n, column)
-    return column
-
-
-def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
+def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
+             column: Optional[array] = None) -> Trajectory:
     """Run the explicit-Euler loop s_{k+1} = s_k + h*(u_applied + d(t_k)).
+
+    `column`, when passed, must equal `d.sample(cfg.h, n_steps(cfg))`;
+    without it the column is sampled here.
 
     Raises SimulationDiverged (with the partial record) if the state or the
     control goes non-finite, or the controller hits a gain-law pole;
@@ -223,7 +216,8 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
     """
     n = n_steps(cfg)
     h, u_max = cfg.h, cfg.u_max
-    column = _disturbance_column(d.signal, h, n)
+    if column is None:
+        column = d.sample(h, n)
     over = np.flatnonzero(np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12))
     m = int(over[0]) if len(over) else len(column)  # the steps that sample d cleanly
     s_rec, u_cmd, u_app, g_rec = (array("d", [0.0]) * m for _ in range(4))
@@ -235,7 +229,7 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
                           np.frombuffer(g_rec, count=k), np.frombuffer(column, count=k).copy(),
                           cfg, c.spec, d)
 
-    control, state = c.control, c.state
+    control, state = c.spec.control, c.state
     isfinite = math.isfinite
     s = cfg.s0
     for k, dk in zip(range(m), column):
@@ -243,7 +237,7 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig) -> Trajectory:
         if not isfinite(s):
             raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, record(k))
         try:
-            u = control(tk, s, h)
+            u = control(state, tk, s, h)
         except BarrierPoleError as exc:
             raise SimulationDiverged(
                 f"controller pole at t = {tk:g}: {exc}", tk, record(k)

@@ -276,6 +276,15 @@ def test_sweep_bad_grid(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_sweep_duplicate_grid_axis(tmp_path, capsys):
+    # the second rho would otherwise replace the first without a word
+    p = write(tmp_path, QUICK)
+    code = cli.main(["sweep", str(p), "--grid", "rho=1;rho=2;lam=0.05",
+                     "--target", "1e-3", "--budget", "10"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: duplicate grid axis 'rho'\n"
+
+
 def test_sweep_unknown_experiment(tmp_path):
     p = write(tmp_path, QUICK)
     code = cli.main(["sweep", str(p), "--grid", "rho=1;lam=0.05",
