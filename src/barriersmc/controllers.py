@@ -7,12 +7,15 @@ integrator, phase flag, auxiliary state) and delegates every sample to the
 descriptor's `control`, so no step dispatches over variants. Adaptive
 state is advanced by explicit Euler at the sample step, matching the plant
 loop. A new variant is a descriptor class with its `control`, added to
-`ControllerSpec` and to the config schema in `experiment`.
+`ControllerSpec` and to the config schema in `experiment`. The
+descriptors built on a class-Kinf law also give `fused_terms(h, n)`, from
+which `simkernel.simulate` inlines their control without this state.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,6 +85,13 @@ class _KinfLawSpec:
         if not isinstance(self.law, KinfLaw):
             raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
+    def fused_terms(self, h: float, n: int) -> tuple:
+        """What `simulate`'s fused loop needs in place of `control`: the
+        bound `law.gain`, the cap on the commanded gain, and the TBG rate
+        column kg(k*h), k = 0..n, or None for a relay. A subclass that
+        overrides `control` overrides this too."""
+        return self.law.gain, math.inf, None
+
 
 @dataclass(frozen=True)
 class KInfty(_KinfLawSpec):
@@ -103,6 +113,9 @@ class SaturatedKInfty(_KinfLawSpec):
         super().__post_init__()
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError(f"k_max must be positive, got {self.k_max!r}")
+
+    def fused_terms(self, h: float, n: int) -> tuple:
+        return self.law.gain, self.k_max, None
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         g = saturate_gain(self.law.gain(abs(s)), self.k_max)
@@ -143,6 +156,14 @@ class TbgIntegral(_KinfLawSpec):
     """
 
     tbg: TbgParams
+
+    def fused_terms(self, h: float, n: int) -> tuple:
+        rate = array("d", [0.0]) * (n + 1)  # tbg_kg is exactly 0.0 from t_f on
+        for k in range(n + 1):
+            if k * h >= self.tbg.t_f:
+                break
+            rate[k] = tbg_kg(k * h, self.tbg)
+        return self.law.gain, math.inf, rate
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         if st.z is None:

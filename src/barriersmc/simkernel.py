@@ -22,15 +22,30 @@ The kernel's contract
   once and passes it in: `simulate(c, d, cfg, column)` requires that
   `column` equals `d.sample(cfg.h, n_steps(cfg))`, and samples it itself
   when none is passed. The kernel keeps no state between calls.
+- Two loops. A descriptor with `fused_terms(h, n)`, that is one built on
+  a class-Kinf law (`KInfty`, `SaturatedKInfty`, `TbgIntegral`), runs in
+  the fused loop, a relay branch and a TBG branch: its control is inlined
+  from the bound `law.gain`, the cap on the commanded gain and, for TBG,
+  the rate column kg(t_k). The fused loop does not write
+  `Controller.state`. Every other descriptor (`ObeidTwoPhase`,
+  `FixedSign`) runs in the reference loop, which calls its
+  `control(state, t, s, h)` once per step. The fused loop gives the bytes
+  that the reference loop gives, with zero tolerance; the
+  reference-oracle test and the variant pins hold it to that.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
   controller pole or a non-finite control (SimulationDiverged). So a
   table that ends early raises at its first uncovered sample, unless
-  the state blew up first.
+  the state blew up first. The steps themselves check no finiteness: one
+  scan after the loop, or when an exception leaves it, finds the first
+  non-finite state or control, so a diverged run computes to its horizon
+  and a later exception (a pole, say) never hides an earlier divergence.
 - The records are `array('d')` columns of the clean steps' length, filled
   by item stores and wrapped by `np.frombuffer`; the returned trajectory
   owns them, and its `d` is a copy of the column, which may be shared.
+  `u_applied` is `u_commanded` clipped to +-u_max, which is the loop's
+  clamp on every finite control.
 """
 
 from __future__ import annotations
@@ -220,43 +235,68 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
         column = d.sample(h, n)
     over = np.flatnonzero(np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12))
     m = int(over[0]) if len(over) else len(column)  # the steps that sample d cleanly
-    s_rec, u_cmd, u_app, g_rec = (array("d", [0.0]) * m for _ in range(4))
+    s_rec, u_cmd, g_rec = (array("d", [0.0]) * m for _ in range(3))
 
     def record(k: int) -> Trajectory:
-        u = np.frombuffer(u_cmd, count=k)  # u_app is only filled when the clamp can act
+        u = np.frombuffer(u_cmd, count=k)  # the clip is the loop's clamp on finite u
         return Trajectory(np.arange(k) * h, np.frombuffer(s_rec, count=k), u,
-                          u.copy() if u_max is None else np.frombuffer(u_app, count=k),
+                          u.copy() if u_max is None else np.clip(u, -u_max, u_max),
                           np.frombuffer(g_rec, count=k), np.frombuffer(column, count=k).copy(),
                           cfg, c.spec, d)
 
-    control, state = c.spec.control, c.state
-    isfinite = math.isfinite
-    s = cfg.s0
-    for k, dk in zip(range(m), column):
-        tk = k * h
-        if not isfinite(s):
-            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, record(k))
-        try:
-            u = control(state, tk, s, h)
-        except BarrierPoleError as exc:
-            raise SimulationDiverged(
-                f"controller pole at t = {tk:g}: {exc}", tk, record(k)
-            ) from exc
-        if not isfinite(u):
-            raise SimulationDiverged(f"control non-finite at t = {tk:g}", tk, record(k))
-        if u_max is None:
-            ua = u
-        else:
-            ua = min(u_max, max(-u_max, u))
-            u_app[k] = ua
-        s_rec[k] = s
-        u_cmd[k] = u
-        g_rec[k] = state.gain
-        s = s + h * (ua + dk)  # past the last sample the new state is unused
+    def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
+        """The divergence at the first non-finite state or control of steps
+        0..k-1, else at step k if its state s is non-finite, else None."""
+        ok = np.isfinite(np.frombuffer(s_rec, count=k)) & np.isfinite(np.frombuffer(u_cmd, count=k))
+        j = k if ok.all() else int(ok.argmin())
+        if j == k and math.isfinite(s):
+            return None
+        what = "state" if j == k or not math.isfinite(s_rec[j]) else "control"
+        return SimulationDiverged(f"{what} non-finite at t = {j * h:g}", j * h, record(j))
+
+    fused = getattr(c.spec, "fused_terms", None)
+    gain, cap, rate = (None, None, None) if fused is None else fused(h, n)
+    s, k = cfg.s0, 0
+    try:
+        if gain is None:  # the reference path: the descriptor's own control
+            control, state = c.spec.control, c.state
+            for k, dk in zip(range(m), column):
+                u = control(state, k * h, s, h)
+                ua = u if u_max is None else min(u_max, max(-u_max, u))
+                s_rec[k], u_cmd[k], g_rec[k] = s, u, state.gain
+                s = s + h * (ua + dk)  # past the last sample the new state is unused
+        elif rate is None:  # relay: -g*sign(s), its sign(0) = 0 kept as a signed product
+            for k, dk in zip(range(m), column):
+                g = gain(abs(s))
+                g = g if g < cap else cap
+                u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
+                ua = u if u_max is None else min(u_max, max(-u_max, u))
+                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
+                s = s + h * (ua + dk)
+        else:  # TBG: e = s - z, u = -kg*z - g*sign(e), z' = -kg*z from z = s0
+            z = s
+            for k, dk, kg in zip(range(m), column, rate):
+                e = s - z
+                g = gain(abs(e))
+                g = g if g < cap else cap
+                u = -kg * z - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
+                z -= h * kg * z
+                ua = u if u_max is None else min(u_max, max(-u_max, u))
+                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
+                s = s + h * (ua + dk)
+    except Exception as exc:  # a divergence up to step k's state comes first
+        err = diverged(k, s)
+        if err is not None:
+            raise err from None
+        if not isinstance(exc, BarrierPoleError):
+            raise
+        raise SimulationDiverged(f"controller pole at t = {k * h:g}: {exc}", k * h,
+                                 record(k)) from exc
+    err = diverged(m, s if m <= n else 0.0)
+    if err is not None:
+        raise err
     if m <= n:  # step m is outside a custom table, or its |d| exceeds d_bar
         tk = m * h
-        if not isfinite(s):
-            raise SimulationDiverged(f"state non-finite at t = {tk:g}", tk, record(m))
         dk = d.signal(tk)  # raises where the column stopped
         raise DisturbanceBoundError(
             f"|d({tk:g})| = {abs(dk):g} exceeds declared d_bar = {d.d_bar:g}"

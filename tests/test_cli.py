@@ -174,6 +174,39 @@ def test_sweep_and_validate_never_traceback(tmp_path_factory, base, rhos, lams, 
             assert len(err.getvalue().splitlines()) == 1
 
 
+def _sections(path):
+    raw = configparser.ConfigParser(interpolation=None)
+    raw.read(path)
+    return [dict(raw[name]) for name in raw.sections()]
+
+
+@settings(deadline=None, max_examples=100)
+@given(section=st.sampled_from(_sections(SEC7) + _sections(SEC3)),
+       tuning=st.one_of(st.lists(sweep_values, min_size=2, max_size=2),
+                        st.sampled_from([[25.0, 1e-4], [1e100, 0.01]])),
+       s0=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e300])),
+       t_end=st.sampled_from(["0.05", "0.5"]), keep_expectations=st.booleans())
+def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
+                              keep_expectations):
+    # one section of a bundled campaign with a fuzzed tuning, start and
+    # horizon; (rho, lam) = (25, 1e-4) or (1e100, 0.01) diverges on the
+    # convex sections without an actuator limit
+    items = dict(section)
+    keys = ("rho", "lam") if "rho" in items else ("epsilon", "k_bar")
+    items.update(zip(keys, map(repr, tuning)), s0=repr(s0), t_end=t_end)
+    if not keep_expectations:
+        items = {k: v for k, v in items.items() if not k.startswith("expect_")}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write(tmp, "[fuzzed]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["run", str(cfg), "--out", str(tmp / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_EXPECTATION, cli.EXIT_CONFIG, cli.EXIT_DIVERGED)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_EXPECTATION:
+        assert any(k.startswith("expect_") for k in items)
+
+
 def custom_table(table_t, table_d, d_bar="1.0", t_end="1.0", h="0.1"):
     return QUICK.replace("disturbance = sinusoid\namplitude = 0.0\nomega = 1.0\n"
                          "phase_rad = 0.0\nd_bar = 1e-9\n",

@@ -56,6 +56,15 @@ class TestTbgSchedule:
         assert tbg_kg(2.0, TBG) == 0.0
         assert tbg_kg(1.0, TBG) == pytest.approx((math.pi / 4.0) / (0.5 + 1e-5))
 
+    @given(st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
+           st.floats(min_value=0.0, max_value=1e300))
+    def test_kg_is_positive_zero_from_t_f_on(self, t_f, delta, past):
+        # simulate's fused TBG loop fills its rate column with 0.0 from t_f on
+        p = TbgParams(t_f, delta)
+        for t in (t_f, math.nextafter(t_f, math.inf), t_f + past):
+            assert math.copysign(1.0, tbg_kg(t, p)) == 1.0 and tbg_kg(t, p) == 0.0
+
     @given(st.floats(min_value=0.0, max_value=20.0))
     def test_kg_finite_and_nonnegative(self, t):
         v = tbg_kg(t, TBG)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from barriersmc.controllers import (
     Controller,
+    ControllerState,
     FixedSign,
     KInfty,
     ObeidTwoPhase,
@@ -316,9 +317,11 @@ def disturbances(draw):
 @st.composite
 def sim_configs(draw):
     h = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.25, 0.5]))
-    # clamp a quarter of the runs; a clamped run cannot diverge
+    # clamp a quarter of the runs; a clamped run's state stays finite
     u_max = draw(st.floats(0.1, 5.0)) if draw(st.integers(0, 3)) == 0 else None
-    return SimConfig(draw(st.floats(-2.0, 2.0)), h, h * draw(st.integers(1, 60)), u_max)
+    # start a quarter of the runs on the surface, where sign(+-0.0) is a signed zero
+    s0 = draw(zeros) if draw(st.integers(0, 3)) == 0 else draw(st.floats(-2.0, 2.0))
+    return SimConfig(s0, h, h * draw(st.integers(1, 60)), u_max)
 
 
 @settings(deadline=None, max_examples=150)
@@ -328,6 +331,19 @@ def test_simulate_matches_reference(spec, d, cfg):
 
 
 DIVERGING = KInfty(ConvexParams(1e100, 0.01))  # the control overflows at t = 0.3 for h = 0.1
+# the descriptors that simulate runs in its fused loop
+FUSED = {"kinfty_concave": KInfty(ConcaveParams(1.0, 0.01366)), "kinfty_convex": KInfty(CV),
+         "saturated": SaturatedKInfty(CV, 0.5), "tbg": TbgIntegral(CV, TbgParams(0.5, 1e-5))}
+
+
+class PoleAfterOverflow(FixedSign):
+    """u = s/h doubles the state every step of a quiet plant with h = 1;
+    the pole is raised only once the state is no longer finite."""
+
+    def control(self, st, t, s, h):
+        if not math.isfinite(s):
+            raise BarrierPoleError("pole past the overflow")
+        return s / h
 
 
 @pytest.mark.parametrize("spec, d, cfg, error", [
@@ -345,10 +361,33 @@ DIVERGING = KInfty(ConvexParams(1e100, 0.01))  # the control overflows at t = 0.
     (FixedSign(1e308), DisturbanceSpec(CustomTable((0.0, 5.0), (0.1, 0.1)), 0.1),
      SimConfig(1.0, 10.0, 20.0), SimulationDiverged),
     (KInfty(CV), VII, SimConfig(1.0, 1e-3, 2.0, u_max=1.5), None),
+    *((spec, VII, SimConfig(s0, 0.1, 1.0), None)
+      for spec in FUSED.values() for s0 in (0.0, -0.0)),
+    (SaturatedKInfty(CV, CV.gain(1.0)), VII, SimConfig(1.0, 1e-3, 0.5), None),
+    (FUSED["tbg"], VII, SimConfig(1.0, 1e-3, 1.0, u_max=0.5), None),
+    (SaturatedKInfty(CV, 5.0), VII, SimConfig(1.0, 1e-3, 1.0, u_max=1.5), None),
+    # kg*z stays finite at t = 2, h*kg*z does not: z = -inf, then u = nan at t = 4
+    (TbgIntegral(CV, TbgParams(2.00637, 1e-4)), QUIET, SimConfig(2e306, 2.0, 6.0, u_max=1.0),
+     SimulationDiverged),
+    (PoleAfterOverflow(0.0), QUIET, SimConfig(1.0, 1.0, 2000.0), SimulationDiverged),
 ], ids=["table_ends_early", "diverges_before_table_ends", "bound_violation",
         "diverges_before_bound_violation", "pole", "state_overflows_where_table_ends",
-        "clamped"])
+        "clamped", *(f"{name}_s0_{sign}0" for name in FUSED for sign in "+-"),
+        "saturated_gain_on_k_max", "tbg_clamped", "saturated_clamped", "tbg_z_overflows",
+        "pole_after_state_overflow"])
 def test_simulate_matches_reference_on_edge_cases(spec, d, cfg, error):
     got = assert_matches_reference(spec, d, cfg)
     assert (got[0] if error else None) is error
 
+
+def test_a_later_pole_does_not_hide_the_state_divergence():
+    with pytest.raises(SimulationDiverged, match="^state non-finite at t = 1024$") as exc:
+        simulate(Controller(PoleAfterOverflow(0.0)), QUIET, SimConfig(1.0, 1.0, 2000.0))
+    assert exc.value.__cause__ is None and len(exc.value.trajectory) == 1024
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_loop_leaves_the_controller_state_alone(name):
+    c = Controller(FUSED[name])
+    simulate(c, VII, SimConfig(1.0, 1e-3, 0.5))
+    assert c.state == ControllerState()
