@@ -3,9 +3,11 @@
 Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
 trajectory CSV given to `plot`, a file that cannot be read or written, a
-non-finite sweep target or budget, a sweep grid axis given twice and an
-invalid sweep grid point included, 3 simulation diverged or its
-disturbance exceeded d_bar.
+non-finite sweep target or budget, a sweep grid axis given twice, an
+invalid sweep grid point and, for `run` and `validate`, an experiment name
+that cannot name its output file (one holding a path separator, `.`, `..`,
+`summary` or a name starting with `fig_`) included, 3 simulation diverged
+or its disturbance exceeded d_bar.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_validate(args) -> int:
     specs = experiment.load_config(args.config)
+    experiment.check_output_names(specs)
     print(f"ok: {len(specs)} experiment(s): {', '.join(s.name for s in specs)}")
     return EXIT_OK
 

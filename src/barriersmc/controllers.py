@@ -8,8 +8,10 @@ descriptor's `control`, so no step dispatches over variants. Adaptive
 state is advanced by explicit Euler at the sample step, matching the plant
 loop. A new variant is a descriptor class with its `control`, added to
 `ControllerSpec` and to the config schema in `experiment`. The
-descriptors built on a class-Kinf law also give `fused_terms(h, n)`, from
-which `simkernel.simulate` inlines their control without this state.
+descriptors built on a class-Kinf law also give `fused_terms()`, the bound
+`law.gain` and the cap on the commanded gain, and `rate_column(h, n)`,
+the TBG rate column or None for a relay, from which `simkernel.simulate`
+inlines their control without this state.
 """
 
 from __future__ import annotations
@@ -85,12 +87,16 @@ class _KinfLawSpec:
         if not isinstance(self.law, KinfLaw):
             raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
-    def fused_terms(self, h: float, n: int) -> tuple:
+    def fused_terms(self) -> tuple:
         """What `simulate`'s fused loop needs in place of `control`: the
-        bound `law.gain`, the cap on the commanded gain, and the TBG rate
-        column kg(k*h), k = 0..n, or None for a relay. A subclass that
-        overrides `control` overrides this too."""
-        return self.law.gain, math.inf, None
+        bound `law.gain` and the cap on the commanded gain. A subclass that
+        overrides `control` overrides this too, and `rate_column`."""
+        return self.law.gain, math.inf
+
+    def rate_column(self, h: float, n: int) -> Optional[array]:
+        """The TBG rate column for the fused loop's TBG branch; None for a
+        relay."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ class SaturatedKInfty(_KinfLawSpec):
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError(f"k_max must be positive, got {self.k_max!r}")
 
-    def fused_terms(self, h: float, n: int) -> tuple:
-        return self.law.gain, self.k_max, None
+    def fused_terms(self) -> tuple:
+        return self.law.gain, self.k_max
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         g = saturate_gain(self.law.gain(abs(s)), self.k_max)
@@ -157,13 +163,15 @@ class TbgIntegral(_KinfLawSpec):
 
     tbg: TbgParams
 
-    def fused_terms(self, h: float, n: int) -> tuple:
-        rate = array("d", [0.0]) * (n + 1)  # tbg_kg is exactly 0.0 from t_f on
+    def rate_column(self, h: float, n: int) -> array:
+        """kg(k*h) for k = 0..n, ending early at the first k*h >= t_f, whose
+        kg is exactly 0.0, as it stays from there on."""
+        rate = array("d")
         for k in range(n + 1):
+            rate.append(tbg_kg(k * h, self.tbg))
             if k * h >= self.tbg.t_f:
                 break
-            rate[k] = tbg_kg(k * h, self.tbg)
-        return self.law.gain, math.inf, rate
+        return rate
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         if st.z is None:

@@ -397,6 +397,15 @@ def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
         raise ConfigError("experiment names must be unique within a batch")
 
 
+def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
+    """Reject a name whose `<name>.csv` would leave the output directory or
+    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there."""
+    for name in (s.name for s in specs):
+        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\") & set(name):
+            raise ConfigError(f"[{name}] cannot name an output file: no path separator, "
+                              "'.', '..', 'summary' or 'fig_' prefix")
+
+
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
     _check_unique_names(specs)
     out: List[str] = []
@@ -575,8 +584,10 @@ def summary_csv(summary: BatchSummary) -> str:
 def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     """Run every spec, write per-experiment trajectory CSVs plus one
     summary.csv, and return the summary. Rerunning a batch overwrites the
-    outputs with identical content."""
+    outputs with identical content. A name `check_output_names` rejects is
+    a ConfigError raised before anything is written."""
     _check_unique_names(specs)
+    check_output_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [run_experiment(s) for s in specs]
@@ -625,11 +636,12 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         except ValueError as exc:  # GainRangeError included
             raise ConfigError(f"grid point rho={rho!r}, lam={lam!r}: {exc}") from None
         points.append((rho, lam, law, bound))
-    column = base.disturbance.sample(base.sim.h, n_steps(base.sim))  # shared by every point
+    h, n = base.sim.h, n_steps(base.sim)  # both columns are shared by every point
+    column, rate = base.disturbance.sample(h, n), base.controller.rate_column(h, n)
     rows = []
     for rho, lam, law, bound in points:
         ctrl = replace(base.controller, law=law)
-        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column)
+        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, rate)
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv

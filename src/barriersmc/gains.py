@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan, inf, log1p
 
 # exp() overflows just past 709 in double precision; keep a margin.
 _EXP_ARG_MAX = 700.0
+_HALF_PI = 0.5 * math.pi  # bound once: `gain` runs once per simulation step
 
 
 class GainRangeError(ValueError):
@@ -50,7 +52,7 @@ class ConcaveParams:
 
     def gain(self, abs_s: float) -> float:
         """rho1 * ln(abs_s/lambda1 + 1); zero at zero, strictly increasing."""
-        return self.rho1 * math.log1p(abs_s / self.lambda1)
+        return self.rho1 * log1p(abs_s / self.lambda1)
 
     def inverse(self, k: float) -> float:
         """Exact inverse lambda1 * (e^{k/rho1} - 1) of `gain`."""
@@ -83,12 +85,12 @@ class ConvexParams:
         """
         y = abs_s / self.lambda2
         if y <= 1.0:
-            a = math.atan(y)
-            return self.rho2 * a / (0.5 * math.pi - a)
-        if y == math.inf:  # abs_s/lambda2 overflowed: K is unbounded
-            return math.inf
-        b = math.atan(1.0 / y)
-        return self.rho2 * (0.5 * math.pi - b) / b
+            a = atan(y)
+            return self.rho2 * a / (_HALF_PI - a)
+        if y == inf:  # abs_s/lambda2 overflowed: K is unbounded
+            return inf
+        b = atan(1.0 / y)
+        return self.rho2 * (_HALF_PI - b) / b
 
     def inverse(self, k: float) -> float:
         """Exact inverse lambda2 * tan(pi*k / (2*(k + rho2))) of `gain`.

@@ -22,16 +22,30 @@ The kernel's contract
   once and passes it in: `simulate(c, d, cfg, column)` requires that
   `column` equals `d.sample(cfg.h, n_steps(cfg))`, and samples it itself
   when none is passed. The kernel keeps no state between calls.
-- Two loops. A descriptor with `fused_terms(h, n)`, that is one built on
-  a class-Kinf law (`KInfty`, `SaturatedKInfty`, `TbgIntegral`), runs in
-  the fused loop, a relay branch and a TBG branch: its control is inlined
-  from the bound `law.gain`, the cap on the commanded gain and, for TBG,
-  the rate column kg(t_k). The fused loop does not write
-  `Controller.state`. Every other descriptor (`ObeidTwoPhase`,
+- Two loops. A descriptor with `fused_terms()`, that is one built on a
+  class-Kinf law (`KInfty`, `SaturatedKInfty`, `TbgIntegral`), runs in
+  the fused loop: its control is inlined from the bound `law.gain` and
+  the cap on the commanded gain that `fused_terms()` returns, and from
+  its `rate_column(h, n)`, None for a relay. The fused loop does not
+  write `Controller.state`. Every other descriptor (`ObeidTwoPhase`,
   `FixedSign`) runs in the reference loop, which calls its
-  `control(state, t, s, h)` once per step. The fused loop gives the bytes
-  that the reference loop gives, with zero tolerance; the
-  reference-oracle test and the variant pins hold it to that.
+  `control(state, t, s, h)` once per step and stores s, u and the gain.
+  The fused loop gives the bytes that the reference loop gives, with
+  zero tolerance; the reference-oracle test and the variant pins hold it
+  to that.
+- The fused loop's relay branch stores only s and g per step. Its
+  u_commanded is derived from them after the loop, before any scan or
+  record, as `np.where(S > 0, -G, np.where(S < 0, G, -G * 0.0))`: the
+  loop's own `-g if s > 0 else g if s < 0 else -g * 0.0` as the same
+  IEEE operations, signed zeros and NaNs included.
+- The TBG branch (e = s - z, u = -kg*z - g*sign(e), z' = -kg*z from
+  z = s0) stores s, u and g. Its rate column is kg(t_k) from k = 0 up to
+  the first step with t_k >= t_f, where kg is 0.0 and stays 0.0, or up
+  to k = n. It updates z through that step only, which also turns a
+  z = -0.0 into +0.0; on the rest of the horizon z is frozen and -kg*z
+  is the constant -0.0 * z. A caller may build the rate column once and
+  pass it in, as a sweep does for the grid points of one base: then
+  `rate` must equal `c.spec.rate_column(cfg.h, n_steps(cfg))`.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
@@ -42,10 +56,13 @@ The kernel's contract
   non-finite state or control, so a diverged run computes to its horizon
   and a later exception (a pole, say) never hides an earlier divergence.
 - The records are `array('d')` columns of the clean steps' length, filled
-  by item stores and wrapped by `np.frombuffer`; the returned trajectory
-  owns them, and its `d` is a copy of the column, which may be shared.
-  `u_applied` is `u_commanded` clipped to +-u_max, which is the loop's
-  clamp on every finite control.
+  by item stores through a `memoryview` of each (cheaper per store than
+  the array's own) and wrapped by `np.frombuffer`; the returned
+  trajectory owns them, and its `d` is a copy of the column, which may be
+  shared. `u_applied` is `u_commanded` clipped to +-u_max, which is the
+  loop's clamp on every finite control. The loops read h, u_max and the
+  record columns as plain locals: only the `record` and `diverged`
+  helpers close over the record columns, through one tuple.
 """
 
 from __future__ import annotations
@@ -217,11 +234,12 @@ def n_steps(cfg: SimConfig) -> int:
 
 
 def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
-             column: Optional[array] = None) -> Trajectory:
+             column: Optional[array] = None, rate: Optional[array] = None) -> Trajectory:
     """Run the explicit-Euler loop s_{k+1} = s_k + h*(u_applied + d(t_k)).
 
-    `column`, when passed, must equal `d.sample(cfg.h, n_steps(cfg))`;
-    without it the column is sampled here.
+    `column`, when passed, must equal `d.sample(cfg.h, n_steps(cfg))`, and
+    `rate` must equal `c.spec.rate_column(cfg.h, n_steps(cfg))`; either one
+    is computed here when it is not passed.
 
     Raises SimulationDiverged (with the partial record) if the state or the
     control goes non-finite, or the controller hits a gain-law pole;
@@ -235,30 +253,33 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
         column = d.sample(h, n)
     over = np.flatnonzero(np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12))
     m = int(over[0]) if len(over) else len(column)  # the steps that sample d cleanly
-    s_rec, u_cmd, g_rec = (array("d", [0.0]) * m for _ in range(3))
+    # the loops read plain locals, and store through memoryviews: their item
+    # stores are cheaper than array's. Only the helpers below see `records`.
+    records = s_rec, u_cmd, g_rec = tuple(memoryview(array("d", [0.0]) * m) for _ in range(3))
 
     def record(k: int) -> Trajectory:
-        u = np.frombuffer(u_cmd, count=k)  # the clip is the loop's clamp on finite u
-        return Trajectory(np.arange(k) * h, np.frombuffer(s_rec, count=k), u,
-                          u.copy() if u_max is None else np.clip(u, -u_max, u_max),
-                          np.frombuffer(g_rec, count=k), np.frombuffer(column, count=k).copy(),
-                          cfg, c.spec, d)
+        s, u, g = (np.frombuffer(a, count=k) for a in records)
+        return Trajectory(np.arange(k) * cfg.h, s, u,  # the clip is the loop's clamp on finite u
+                          u.copy() if cfg.u_max is None else np.clip(u, -cfg.u_max, cfg.u_max),
+                          g, np.frombuffer(column, count=k).copy(), cfg, c.spec, d)
 
     def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
         """The divergence at the first non-finite state or control of steps
         0..k-1, else at step k if its state s is non-finite, else None."""
-        ok = np.isfinite(np.frombuffer(s_rec, count=k)) & np.isfinite(np.frombuffer(u_cmd, count=k))
+        states, controls = (np.frombuffer(a, count=k) for a in records[:2])
+        ok = np.isfinite(states) & np.isfinite(controls)
         j = k if ok.all() else int(ok.argmin())
         if j == k and math.isfinite(s):
             return None
-        what = "state" if j == k or not math.isfinite(s_rec[j]) else "control"
-        return SimulationDiverged(f"{what} non-finite at t = {j * h:g}", j * h, record(j))
+        what = "state" if j == k or not math.isfinite(records[0][j]) else "control"
+        return SimulationDiverged(f"{what} non-finite at t = {j * cfg.h:g}", j * cfg.h, record(j))
 
     fused = getattr(c.spec, "fused_terms", None)
-    gain, cap, rate = (None, None, None) if fused is None else fused(h, n)
+    gain, cap = (None, None) if fused is None else fused()
+    rate = c.spec.rate_column(h, n) if fused and rate is None else rate
     s, k = cfg.s0, 0
     try:
-        if gain is None:  # the reference path: the descriptor's own control
+        if fused is None:  # the reference path: the descriptor's own control
             control, state = c.spec.control, c.state
             for k, dk in zip(range(m), column):
                 u = control(state, k * h, s, h)
@@ -266,13 +287,17 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, state.gain
                 s = s + h * (ua + dk)  # past the last sample the new state is unused
         elif rate is None:  # relay: -g*sign(s), its sign(0) = 0 kept as a signed product
-            for k, dk in zip(range(m), column):
-                g = gain(abs(s))
-                g = g if g < cap else cap
-                u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
-                ua = u if u_max is None else min(u_max, max(-u_max, u))
-                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
-                s = s + h * (ua + dk)
+            try:
+                for k, dk in zip(range(m), column):
+                    g = gain(abs(s))
+                    g = g if g < cap else cap
+                    u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
+                    s_rec[k], g_rec[k] = s, g  # u is derived from these after the loop
+                    s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
+            finally:  # the same IEEE operations on the stored s and g, before any scan
+                S, G = np.frombuffer(s_rec), np.frombuffer(g_rec)
+                with np.errstate(invalid="ignore"):  # -inf * 0.0 in a diverged run
+                    np.frombuffer(u_cmd)[:] = np.where(S > 0.0, -G, np.where(S < 0.0, G, -G * 0.0))
         else:  # TBG: e = s - z, u = -kg*z - g*sign(e), z' = -kg*z from z = s0
             z = s
             for k, dk, kg in zip(range(m), column, rate):
@@ -281,9 +306,16 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
                 g = g if g < cap else cap
                 u = -kg * z - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
                 z -= h * kg * z
-                ua = u if u_max is None else min(u_max, max(-u_max, u))
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, g
-                s = s + h * (ua + dk)
+                s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
+            zt = -0.0 * z  # past the rate column kg = 0.0: z is frozen and -kg*z is zt
+            for k, dk in zip(range(len(rate), m), column[len(rate):]):
+                e = s - z
+                g = gain(abs(e))
+                g = g if g < cap else cap
+                u = zt - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
+                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
+                s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
     except Exception as exc:  # a divergence up to step k's state comes first
         err = diverged(k, s)
         if err is not None:

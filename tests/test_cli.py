@@ -50,6 +50,12 @@ t_end = 1.0
 """
 
 
+def _src_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def write(tmp_path, text, name="c.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -97,6 +103,30 @@ def test_sweep_divergence_exits_3_without_traceback(capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_DIVERGED
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
+    # no pytest warning filter here: a numpy RuntimeWarning would print a second line
+    proc = subprocess.run(
+        [sys.executable, "-m", "barriersmc", "sweep", str(SEC7), "--experiment", "cv",
+         "--grid", "rho=25;lam=0.01", "--target", "0.01", "--budget", "100"],
+        env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_DIVERGED and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("simulation error: ")
+
+
+@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped"])
+def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
+    p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
+    out = tmp_path / "run" / "out"
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(out)]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: [{name}] cannot name an output file: "
+                                "no path separator, '.', '..', 'summary' or 'fig_' prefix\n")
+    assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
 
 
 def test_sweep_gain_overflow_exits_3(capsys):
@@ -278,9 +308,7 @@ def test_cli_and_config_loading_import_no_configparser():
             f"for path in ({str(SEC3)!r}, {str(SEC7)!r}):\n"
             "    cli.experiment.load_config(path)\n"
             "print('configparser' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
 

@@ -60,7 +60,7 @@ class TestTbgSchedule:
            st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
            st.floats(min_value=0.0, max_value=1e300))
     def test_kg_is_positive_zero_from_t_f_on(self, t_f, delta, past):
-        # simulate's fused TBG loop fills its rate column with 0.0 from t_f on
+        # simulate's fused TBG loop takes kg = 0.0 from t_f on, where its rate column ends
         p = TbgParams(t_f, delta)
         for t in (t_f, math.nextafter(t_f, math.inf), t_f + past):
             assert math.copysign(1.0, tbg_kg(t, p)) == 1.0 and tbg_kg(t, p) == 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from barriersmc import analysis, experiment
+from barriersmc import analysis, controllers, experiment
 from barriersmc.controllers import (
     FixedSign,
     KInfty,
@@ -16,6 +16,7 @@ from barriersmc.controllers import (
     SaturatedKInfty,
     TbgIntegral,
     TbgParams,
+    tbg_kg,
 )
 from barriersmc.experiment import (
     TRAJECTORY_COLUMNS,
@@ -355,6 +356,20 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(self.base(), [], 1e-3, 10.0)
+
+    def test_tbg_rate_column_is_built_once_per_base(self, monkeypatch):
+        calls = []
+
+        def counting_kg(t, p):
+            calls.append(t)
+            return tbg_kg(t, p)
+
+        monkeypatch.setattr(controllers, "tbg_kg", counting_kg)
+        base = [s for s in load_config(SEC7) if s.name == "tbg"][0]
+        grid = [(rho, lam) for rho in (1.0, 2.0, 5.0) for lam in (0.03, 0.05, 0.1)]
+        assert len(sweep(base, grid, 3.52e-3, 10.0)) == 9
+        # k*h for k = 0..2000: t_f = 2 s at h = 1 ms, then kg stays 0.0
+        assert 0 < len(calls) <= 2001
 
 
 class TestEmitPlotData:

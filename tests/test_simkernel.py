@@ -336,6 +336,17 @@ FUSED = {"kinfty_concave": KInfty(ConcaveParams(1.0, 0.01366)), "kinfty_convex":
          "saturated": SaturatedKInfty(CV, 0.5), "tbg": TbgIntegral(CV, TbgParams(0.5, 1e-5))}
 
 
+@pytest.mark.parametrize("spec, d, cfg, sign", [
+    (SaturatedKInfty(CV, 1.0), QUIET, SimConfig(1.0, 1.0, 3.0), 1.0),  # 1 + 1*(-1 + 0) = +0
+    # -0.0 + h*(-0.0 + -0.0) stays -0.0: d = -0.0*sin(t) for t in [0, 1]
+    (KInfty(CV), DisturbanceSpec(Sinusoid(-0.0, 1.0), 1e-9), SimConfig(-0.0, 0.1, 1.0), -1.0),
+], ids=["+0", "-0"])
+def test_relay_states_on_a_signed_zero_derive_the_reference_u(spec, d, cfg, sign):
+    got = assert_matches_reference(spec, d, cfg)
+    s = np.frombuffer(got[COLUMNS.index("s")])[1:]
+    assert np.all(s == 0.0) and np.all(np.copysign(1.0, s) == sign)
+
+
 class PoleAfterOverflow(FixedSign):
     """u = s/h doubles the state every step of a quiet plant with h = 1;
     the pole is raised only once the state is no longer finite."""
@@ -370,11 +381,22 @@ class PoleAfterOverflow(FixedSign):
     (TbgIntegral(CV, TbgParams(2.00637, 1e-4)), QUIET, SimConfig(2e306, 2.0, 6.0, u_max=1.0),
      SimulationDiverged),
     (PoleAfterOverflow(0.0), QUIET, SimConfig(1.0, 1.0, 2000.0), SimulationDiverged),
+    # t_f = 0.5 = 5*h: horizons ending before t_f, at the first kg = 0.0 step and one after
+    *((FUSED["tbg"], VII, SimConfig(1.0, 0.1, t_end), None) for t_end in (0.3, 0.5, 0.6)),
+    # t_f < h: the rate column is kg(0), kg(h) = 0.0, and z = -0.0 turns +0.0 at step 0
+    (TbgIntegral(CV, TbgParams(0.05, 1e-5)), VII, SimConfig(-0.0, 0.1, 0.5), None),
+    # s = z = e = 0.0 throughout: past t_f, u = -0.0*z - 0.0 is -0.0 only by -kg*z's sign
+    (FUSED["tbg"], QUIET, SimConfig(0.0, 0.1, 1.0), None),
+    (SaturatedKInfty(CV, 5.0), VII, SimConfig(1.0, 0.1, 3.0, u_max=1.5), None),
+    # g = inf at t = 0.3, then s = nan: the derived u is -inf * 0.0
+    (DIVERGING, QUIET, SimConfig(1.0, 0.1, 2.0), SimulationDiverged),
 ], ids=["table_ends_early", "diverges_before_table_ends", "bound_violation",
         "diverges_before_bound_violation", "pole", "state_overflows_where_table_ends",
         "clamped", *(f"{name}_s0_{sign}0" for name in FUSED for sign in "+-"),
         "saturated_gain_on_k_max", "tbg_clamped", "saturated_clamped", "tbg_z_overflows",
-        "pole_after_state_overflow"])
+        "pole_after_state_overflow", "tbg_ends_before_t_f", "tbg_ends_at_t_f",
+        "tbg_ends_after_t_f", "tbg_t_f_below_h_s0_-0", "tbg_rests_on_the_surface",
+        "saturated_clamped_coarse", "relay_diverges_with_infinite_gain"])
 def test_simulate_matches_reference_on_edge_cases(spec, d, cfg, error):
     got = assert_matches_reference(spec, d, cfg)
     assert (got[0] if error else None) is error
