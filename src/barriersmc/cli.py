@@ -4,10 +4,12 @@ Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
 trajectory CSV given to `plot`, a file that cannot be read or written, a
 non-finite sweep target or budget, a sweep grid axis given twice, an
-invalid sweep grid point and, for `run` and `validate`, an experiment name
-that cannot name its output file (one holding a path separator, `.`, `..`,
-`summary` or a name starting with `fig_`) included, 3 simulation diverged
-or its disturbance exceeded d_bar.
+invalid sweep grid point, a step h so small that t_end / h overflows and,
+for `run` and `validate`, an experiment name that cannot name its output
+file (one holding a path separator or a NUL, `.`, `..`, `summary` or a
+name starting with `fig_`) included, 3 simulation diverged or its
+disturbance exceeded d_bar. A chattering window that holds fewer than
+two samples leaves the run's total_variation cell empty.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ state is advanced by explicit Euler at the sample step, matching the plant
 loop. A new variant is a descriptor class with its `control`, added to
 `ControllerSpec` and to the config schema in `experiment`. The
 descriptors built on a class-Kinf law also give `fused_terms()`, the bound
-`law.gain` and the cap on the commanded gain, and `rate_column(h, n)`,
-the TBG rate column or None for a relay, from which `simkernel.simulate`
-inlines their control without this state.
+`law.gain` and the cap on the commanded gain, and `tbg_columns(s0, h, n)`,
+None for a relay and, for `TbgIntegral`, its auxiliary state z and
+feedforward term -kg*z at every sample: the TBG design is the relay acting
+on e = s - z plus a feedforward that does not depend on the plant. From
+these `simkernel.simulate` inlines their control without this state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from barriersmc.gains import KinfLaw, PsbParams, saturate_gain
 
@@ -88,14 +90,13 @@ class _KinfLawSpec:
             raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
     def fused_terms(self) -> tuple:
-        """What `simulate`'s fused loop needs in place of `control`: the
-        bound `law.gain` and the cap on the commanded gain. A subclass that
-        overrides `control` overrides this too, and `rate_column`."""
+        """What `simulate` needs in place of `control`: the bound `law.gain`
+        and the cap on the commanded gain. A subclass that overrides
+        `control` overrides this too, and `tbg_columns`."""
         return self.law.gain, math.inf
 
-    def rate_column(self, h: float, n: int) -> Optional[array]:
-        """The TBG rate column for the fused loop's TBG branch; None for a
-        relay."""
+    def tbg_columns(self, s0: float, h: float, n: int) -> Optional[Tuple[array, array]]:
+        """The (z, w) columns of `simulate`'s TBG loop; None for a relay."""
         return None
 
 
@@ -163,15 +164,23 @@ class TbgIntegral(_KinfLawSpec):
 
     tbg: TbgParams
 
-    def rate_column(self, h: float, n: int) -> array:
-        """kg(k*h) for k = 0..n, ending early at the first k*h >= t_f, whose
-        kg is exactly 0.0, as it stays from there on."""
-        rate = array("d")
+    def tbg_columns(self, s0: float, h: float, n: int) -> Tuple[array, array]:
+        """z_k and w_k = -kg(k*h)*z_k for k = 0..n, with z_k the Euler
+        recurrence z' = -kg*z from z_0 = s0, as `control` steps it: the
+        columns of `simulate`'s TBG loop. From the first k*h >= t_f on, kg
+        is 0.0, so both are frozen: a finite z no longer moves, as it is
+        not -0.0 there (kg(0) = 0.0 turns a z_0 = -0.0 into +0.0 at step
+        0), and w stays -0.0 * z."""
+        z, w, zk = array("d"), array("d"), s0
         for k in range(n + 1):
-            rate.append(tbg_kg(k * h, self.tbg))
+            kg = tbg_kg(k * h, self.tbg)
+            z.append(zk)
+            w.append(-kg * zk)
             if k * h >= self.tbg.t_f:
                 break
-        return rate
+            zk -= h * kg * zk
+        rest = n + 1 - len(z)
+        return z + z[-1:] * rest, w + w[-1:] * rest
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         if st.z is None:

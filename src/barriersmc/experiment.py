@@ -398,12 +398,13 @@ def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
 
 
 def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
-    """Reject a name whose `<name>.csv` would leave the output directory or
-    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there."""
+    """Reject a name whose `<name>.csv` would leave the output directory,
+    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there, or
+    hold a NUL, which no file name can."""
     for name in (s.name for s in specs):
-        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\") & set(name):
+        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\\0") & set(name):
             raise ConfigError(f"[{name}] cannot name an output file: no path separator, "
-                              "'.', '..', 'summary' or 'fig_' prefix")
+                              "NUL, '.', '..', 'summary' or 'fig_' prefix")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
@@ -537,7 +538,9 @@ def _check_expectations(spec: ExperimentSpec, traj: Trajectory,
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Simulate one spec and evaluate its analysis requests. A divergence
-    or a disturbance-bound violation is returned as the result's error."""
+    or a disturbance-bound violation is returned as the result's error; a
+    chattering window that holds fewer than two samples gives no total
+    variation."""
     try:
         traj = simulate(Controller(spec.controller), spec.disturbance, spec.sim)
     except (SimulationDiverged, DisturbanceBoundError) as exc:
@@ -551,8 +554,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if report.t_conv is not None:
             peak = analysis.settled_peak_gain(traj, report.t_conv)
             gain_max_post = None if peak is None else peak[1]
-    window = spec.chatter_window or analysis.default_chatter_window(traj)
-    chatter = analysis.total_variation(traj, window)
+    t0, t1 = spec.chatter_window or analysis.default_chatter_window(traj)
+    try:  # over the samples in [t0, t1], the last of which may lie before t1
+        chatter = analysis.total_variation(traj, (t0, min(t1, float(traj.t[-1]))))
+    except ValueError:  # fewer than two samples in the window: no total variation
+        chatter = None
     failures = _check_expectations(spec, traj, report, gain_max_post)
     return ExperimentResult(spec, traj, report, gain_max_post, chatter, failures)
 
@@ -636,12 +642,12 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         except ValueError as exc:  # GainRangeError included
             raise ConfigError(f"grid point rho={rho!r}, lam={lam!r}: {exc}") from None
         points.append((rho, lam, law, bound))
-    h, n = base.sim.h, n_steps(base.sim)  # both columns are shared by every point
-    column, rate = base.disturbance.sample(h, n), base.controller.rate_column(h, n)
+    s0, h, n = base.sim.s0, base.sim.h, n_steps(base.sim)  # shared by every point
+    column, tbg = base.disturbance.sample(h, n), base.controller.tbg_columns(s0, h, n)
     rows = []
     for rho, lam, law, bound in points:
         ctrl = replace(base.controller, law=law)
-        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, rate)
+        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv

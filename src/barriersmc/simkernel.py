@@ -22,30 +22,30 @@ The kernel's contract
   once and passes it in: `simulate(c, d, cfg, column)` requires that
   `column` equals `d.sample(cfg.h, n_steps(cfg))`, and samples it itself
   when none is passed. The kernel keeps no state between calls.
-- Two loops. A descriptor with `fused_terms()`, that is one built on a
-  class-Kinf law (`KInfty`, `SaturatedKInfty`, `TbgIntegral`), runs in
-  the fused loop: its control is inlined from the bound `law.gain` and
-  the cap on the commanded gain that `fused_terms()` returns, and from
-  its `rate_column(h, n)`, None for a relay. The fused loop does not
-  write `Controller.state`. Every other descriptor (`ObeidTwoPhase`,
-  `FixedSign`) runs in the reference loop, which calls its
-  `control(state, t, s, h)` once per step and stores s, u and the gain.
-  The fused loop gives the bytes that the reference loop gives, with
-  zero tolerance; the reference-oracle test and the variant pins hold it
-  to that.
-- The fused loop's relay branch stores only s and g per step. Its
-  u_commanded is derived from them after the loop, before any scan or
-  record, as `np.where(S > 0, -G, np.where(S < 0, G, -G * 0.0))`: the
-  loop's own `-g if s > 0 else g if s < 0 else -g * 0.0` as the same
-  IEEE operations, signed zeros and NaNs included.
-- The TBG branch (e = s - z, u = -kg*z - g*sign(e), z' = -kg*z from
-  z = s0) stores s, u and g. Its rate column is kg(t_k) from k = 0 up to
-  the first step with t_k >= t_f, where kg is 0.0 and stays 0.0, or up
-  to k = n. It updates z through that step only, which also turns a
-  z = -0.0 into +0.0; on the rest of the horizon z is frozen and -kg*z
-  is the constant -0.0 * z. A caller may build the rate column once and
-  pass it in, as a sweep does for the grid points of one base: then
-  `rate` must equal `c.spec.rate_column(cfg.h, n_steps(cfg))`.
+- Three loops, one per controller shape. A descriptor with
+  `fused_terms()`, that is one built on a class-Kinf law (`KInfty`,
+  `SaturatedKInfty`, `TbgIntegral`), has its control inlined from the
+  bound `law.gain` and the cap on the commanded gain that `fused_terms()`
+  returns, and does not have `Controller.state` written. It runs in the
+  relay loop when its `tbg_columns(s0, h, n)` is None, else in the TBG
+  loop. Every other descriptor (`ObeidTwoPhase`, `FixedSign`) runs in the
+  reference loop, which calls its `control(state, t, s, h)` once per step
+  and stores s, u and the gain. The relay and TBG loops give the bytes
+  that the reference loop gives, with zero tolerance; the
+  reference-oracle test and the variant pins hold them to that.
+- The relay loop (u = -g*sign(s), g = min(K(|s|), cap)) stores only s
+  and u per step; its gain column is |u|. That is exact: both laws give
+  g >= +0.0 with K(0) = +0.0, so |u| = g whether sign(s) is +-1 or a
+  signed zero, and a step whose g is not finite has a non-finite u, so
+  it is never recorded.
+- The TBG loop is the same relay acting on e = s - z, shifted by a
+  feedforward w: u = w - g*sign(e), storing s, u and g. Neither z nor w
+  depends on the plant, so both are columns, z_k and w_k for k = 0..n,
+  that the descriptor's `tbg_columns(s0, h, n)` builds before the loop:
+  `TbgIntegral`'s auxiliary state and feedforward term as its `control`
+  computes them, bit for bit. A caller may build them once and pass them
+  in, as a sweep does for the grid points of one base: then `tbg` must
+  equal `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
@@ -201,8 +201,8 @@ class SimConfig:
             raise ValueError(f"s0 must be finite, got {self.s0!r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive, got {self.h!r}")
-        if not (math.isfinite(self.t_end) and self.t_end >= self.h):
-            raise ValueError(f"t_end must be >= h, got {self.t_end!r}")
+        if not (self.t_end >= self.h and math.isfinite(self.t_end / self.h)):
+            raise ValueError(f"t_end must be >= h with t_end / h finite, got {self.t_end!r}")
         if self.u_max is not None and not (math.isfinite(self.u_max) and self.u_max > 0):
             raise ValueError(f"u_max must be positive when present, got {self.u_max!r}")
 
@@ -234,12 +234,13 @@ def n_steps(cfg: SimConfig) -> int:
 
 
 def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
-             column: Optional[array] = None, rate: Optional[array] = None) -> Trajectory:
+             column: Optional[array] = None,
+             tbg: Optional[Tuple[array, array]] = None) -> Trajectory:
     """Run the explicit-Euler loop s_{k+1} = s_k + h*(u_applied + d(t_k)).
 
     `column`, when passed, must equal `d.sample(cfg.h, n_steps(cfg))`, and
-    `rate` must equal `c.spec.rate_column(cfg.h, n_steps(cfg))`; either one
-    is computed here when it is not passed.
+    `tbg` must equal `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`;
+    either one is computed here when it is not passed.
 
     Raises SimulationDiverged (with the partial record) if the state or the
     control goes non-finite, or the controller hits a gain-law pole;
@@ -261,7 +262,8 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
         s, u, g = (np.frombuffer(a, count=k) for a in records)
         return Trajectory(np.arange(k) * cfg.h, s, u,  # the clip is the loop's clamp on finite u
                           u.copy() if cfg.u_max is None else np.clip(u, -cfg.u_max, cfg.u_max),
-                          g, np.frombuffer(column, count=k).copy(), cfg, c.spec, d)
+                          np.abs(u) if relay else g, np.frombuffer(column, count=k).copy(),
+                          cfg, c.spec, d)
 
     def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
         """The divergence at the first non-finite state or control of steps
@@ -276,7 +278,8 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
 
     fused = getattr(c.spec, "fused_terms", None)
     gain, cap = (None, None) if fused is None else fused()
-    rate = c.spec.rate_column(h, n) if fused and rate is None else rate
+    tbg = c.spec.tbg_columns(cfg.s0, h, n) if fused and tbg is None else tbg
+    relay = fused is not None and tbg is None
     s, k = cfg.s0, 0
     try:
         if fused is None:  # the reference path: the descriptor's own control
@@ -286,34 +289,19 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
                 ua = u if u_max is None else min(u_max, max(-u_max, u))
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, state.gain
                 s = s + h * (ua + dk)  # past the last sample the new state is unused
-        elif rate is None:  # relay: -g*sign(s), its sign(0) = 0 kept as a signed product
-            try:
-                for k, dk in zip(range(m), column):
-                    g = gain(abs(s))
-                    g = g if g < cap else cap
-                    u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
-                    s_rec[k], g_rec[k] = s, g  # u is derived from these after the loop
-                    s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
-            finally:  # the same IEEE operations on the stored s and g, before any scan
-                S, G = np.frombuffer(s_rec), np.frombuffer(g_rec)
-                with np.errstate(invalid="ignore"):  # -inf * 0.0 in a diverged run
-                    np.frombuffer(u_cmd)[:] = np.where(S > 0.0, -G, np.where(S < 0.0, G, -G * 0.0))
-        else:  # TBG: e = s - z, u = -kg*z - g*sign(e), z' = -kg*z from z = s0
-            z = s
-            for k, dk, kg in zip(range(m), column, rate):
-                e = s - z
-                g = gain(abs(e))
+        elif relay:  # -g*sign(s), its sign(0) = 0 kept as a signed product
+            for k, dk in zip(range(m), column):
+                g = gain(abs(s))
                 g = g if g < cap else cap
-                u = -kg * z - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
-                z -= h * kg * z
-                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
+                u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
+                s_rec[k], u_cmd[k] = s, u  # the gain is |u|, taken by record
                 s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
-            zt = -0.0 * z  # past the rate column kg = 0.0: z is frozen and -kg*z is zt
-            for k, dk in zip(range(len(rate), m), column[len(rate):]):
+        else:  # TBG: the relay on e = s - z, shifted by the feedforward w
+            for k, dk, z, w in zip(range(m), column, *tbg):
                 e = s - z
                 g = gain(abs(e))
                 g = g if g < cap else cap
-                u = zt - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
+                u = w - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, g
                 s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
     except Exception as exc:  # a divergence up to step k's state comes first

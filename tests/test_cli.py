@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriersmc import cli
-from barriersmc.experiment import FIGURE_SIGNALS
+from barriersmc import analysis, cli
+from barriersmc.experiment import FIGURE_SIGNALS, read_trajectory_csv
 
 REPO = Path(__file__).resolve().parents[1]
 SEC3 = REPO / "configs" / "paper_sec3.cfg"
@@ -116,7 +116,7 @@ def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
     assert proc.stderr.startswith("simulation error: ")
 
 
-@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped"])
+@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b"])
 def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
     p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
     out = tmp_path / "run" / "out"
@@ -125,7 +125,8 @@ def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"configuration error: [{name}] cannot name an output file: "
-                                "no path separator, '.', '..', 'summary' or 'fig_' prefix\n")
+                                "no path separator, NUL, '.', '..', 'summary' or 'fig_' "
+                                "prefix\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
 
 
@@ -215,7 +216,7 @@ def _sections(path):
        tuning=st.one_of(st.lists(sweep_values, min_size=2, max_size=2),
                         st.sampled_from([[25.0, 1e-4], [1e100, 0.01]])),
        s0=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e300])),
-       t_end=st.sampled_from(["0.05", "0.5"]), keep_expectations=st.booleans())
+       t_end=st.sampled_from(["0.001", "0.05", "0.5"]), keep_expectations=st.booleans())
 def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
                               keep_expectations):
     # one section of a bundled campaign with a fuzzed tuning, start and
@@ -300,6 +301,41 @@ def test_sinusoid_argument_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("configuration error: [still] ")
                                  and "sinusoid" in line for line in err)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_step_too_small_for_the_horizon_exits_2(tmp_path, capsys, command):
+    # t_end / h = 1e320 overflows: no step count
+    p = write(tmp_path, QUICK.replace("h = 0.001\nt_end = 0.1", "h = 1e-320\nt_end = 1.0"))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(p), *out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [still] ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("plant, tv", [
+    ("h = 0.1\nt_end = 0.1", ""),  # the default window [0.08, 0.1] holds one sample
+    ("h = 0.1\nt_end = 1.0\nchatter_t0 = 0.05\nchatter_t1 = 0.06", ""),  # none
+    # the window ends past the last sample, 1.0: it holds the 6 samples from 0.5
+    ("h = 0.1\nt_end = 1.05\nchatter_t0 = 0.5\nchatter_t1 = 1.05", "0.5 1.0"),
+], ids=["default_window_one_sample", "window_between_samples", "window_past_last_sample"])
+def test_chattering_window_run_cannot_fill(tmp_path, capsys, plant, tv):
+    # a unit relay from s0 = 0.25 chatters around s = 0 from t = 0.3 on
+    text = QUICK.replace("k = 0.0", "k = 1.0").replace("s0 = 1.0", "s0 = 0.25")
+    p = write(tmp_path, text.replace("h = 0.001\nt_end = 0.1", plant))
+    assert cli.main(["validate", str(p)]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    cell = captured.out.splitlines()[1].split(",")[5]
+    if tv:
+        traj = read_trajectory_csv(out / "still.csv")
+        want = analysis.total_variation(traj, tuple(map(float, tv.split())))
+        assert cell == "%.17g" % want.total_variation and want.total_variation > 0
+    else:
+        assert cell == ""
 
 
 def test_cli_and_config_loading_import_no_configparser():

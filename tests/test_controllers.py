@@ -1,7 +1,8 @@
 import math
+from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from barriersmc.controllers import (
     BARRIER,
@@ -60,7 +61,7 @@ class TestTbgSchedule:
            st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
            st.floats(min_value=0.0, max_value=1e300))
     def test_kg_is_positive_zero_from_t_f_on(self, t_f, delta, past):
-        # simulate's fused TBG loop takes kg = 0.0 from t_f on, where its rate column ends
+        # tbg_columns freezes z and w from t_f on, where kg is +0.0 and stays +0.0
         p = TbgParams(t_f, delta)
         for t in (t_f, math.nextafter(t_f, math.inf), t_f + past):
             assert math.copysign(1.0, tbg_kg(t, p)) == 1.0 and tbg_kg(t, p) == 0.0
@@ -166,6 +167,27 @@ class TestTbgIntegral:
         for k in range(2001):
             c.control(k * H, 1.0 if k == 0 else 0.0, H)
         assert abs(c.state.z - 1e-5 / (1 + 1e-5)) <= 1e-3
+
+
+# t_f as a multiple of h: below h, on the time grid, or off it
+t_f_steps = st.one_of(st.floats(0.01, 0.99), st.integers(1, 70).map(float),
+                      st.tuples(st.integers(1, 70), st.floats(0.01, 0.99)).map(sum))
+
+
+@settings(deadline=None, max_examples=300)
+@given(s0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
+       h=st.sampled_from([1e-3, 0.01, 0.1, 0.5]), n=st.integers(1, 60), t_f_h=t_f_steps,
+       delta=st.floats(1e-6, 0.5))
+def test_tbg_columns_are_the_z_and_feedforward_that_control_steps(s0, h, n, t_f_h, delta):
+    p = TbgParams(t_f_h * h, delta)
+    z, w = TbgIntegral(CV, p).tbg_columns(s0, h, n)
+    c = Controller(TbgIntegral(CV, p))
+    want = []
+    for k in range(n + 1):
+        want.append(s0 if k == 0 else c.state.z)  # the z that step k reads
+        c.control(k * h, s0, h)
+    assert z.tobytes() == array("d", want).tobytes()
+    assert w.tobytes() == array("d", [-tbg_kg(k * h, p) * zk for k, zk in enumerate(z)]).tobytes()
 
 
 controller_specs = st.one_of(

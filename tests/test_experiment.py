@@ -357,7 +357,7 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(self.base(), [], 1e-3, 10.0)
 
-    def test_tbg_rate_column_is_built_once_per_base(self, monkeypatch):
+    def test_tbg_columns_are_built_once_per_base(self, monkeypatch):
         calls = []
 
         def counting_kg(t, p):
@@ -368,7 +368,7 @@ class TestSweep:
         base = [s for s in load_config(SEC7) if s.name == "tbg"][0]
         grid = [(rho, lam) for rho in (1.0, 2.0, 5.0) for lam in (0.03, 0.05, 0.1)]
         assert len(sweep(base, grid, 3.52e-3, 10.0)) == 9
-        # k*h for k = 0..2000: t_f = 2 s at h = 1 ms, then kg stays 0.0
+        # k*h for k = 0..2000: t_f = 2 s at h = 1 ms, then z and w are frozen
         assert 0 < len(calls) <= 2001
 
 

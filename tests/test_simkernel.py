@@ -272,9 +272,13 @@ def _outcome(sim, spec, d, cfg, *column):
 
 def assert_matches_reference(spec, d, cfg):
     want = _outcome(_reference_simulate, spec, d, cfg)
-    # sampling the column in simulate or passing it in, as sweep does
+    # sampling the columns in simulate or passing them in, as sweep does
     assert _outcome(simulate, spec, d, cfg) == want
-    assert _outcome(simulate, spec, d, cfg, d.sample(cfg.h, n_steps(cfg))) == want
+    column = d.sample(cfg.h, n_steps(cfg))
+    assert _outcome(simulate, spec, d, cfg, column) == want
+    if isinstance(spec, TbgIntegral):
+        tbg = spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))
+        assert _outcome(simulate, spec, d, cfg, column, tbg) == want
     return want
 
 
@@ -383,12 +387,12 @@ class PoleAfterOverflow(FixedSign):
     (PoleAfterOverflow(0.0), QUIET, SimConfig(1.0, 1.0, 2000.0), SimulationDiverged),
     # t_f = 0.5 = 5*h: horizons ending before t_f, at the first kg = 0.0 step and one after
     *((FUSED["tbg"], VII, SimConfig(1.0, 0.1, t_end), None) for t_end in (0.3, 0.5, 0.6)),
-    # t_f < h: the rate column is kg(0), kg(h) = 0.0, and z = -0.0 turns +0.0 at step 0
+    # t_f < h: z and w freeze at k = 1, where kg(h) = 0.0; kg(0) = 0.0 turned z = -0.0 to +0.0
     (TbgIntegral(CV, TbgParams(0.05, 1e-5)), VII, SimConfig(-0.0, 0.1, 0.5), None),
-    # s = z = e = 0.0 throughout: past t_f, u = -0.0*z - 0.0 is -0.0 only by -kg*z's sign
+    # s = z = e = 0.0 throughout: past t_f, u = w - 0.0 is -0.0 only by w = -0.0*z's sign
     (FUSED["tbg"], QUIET, SimConfig(0.0, 0.1, 1.0), None),
     (SaturatedKInfty(CV, 5.0), VII, SimConfig(1.0, 0.1, 3.0, u_max=1.5), None),
-    # g = inf at t = 0.3, then s = nan: the derived u is -inf * 0.0
+    # g = inf at t = 0.3 gives u = -inf, then s = nan: the |u| gain column stops before it
     (DIVERGING, QUIET, SimConfig(1.0, 0.1, 2.0), SimulationDiverged),
 ], ids=["table_ends_early", "diverges_before_table_ends", "bound_violation",
         "diverges_before_bound_violation", "pole", "state_overflows_where_table_ends",
