@@ -4,7 +4,8 @@ Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
 1 declared expectation failed, 2 configuration error, a malformed
 trajectory CSV given to `plot`, a file that cannot be read or written, a
 non-finite sweep target or budget, a sweep grid axis given twice, an
-invalid sweep grid point, a step h so small that t_end / h overflows and,
+invalid sweep grid point, a step h so small that t_end / h exceeds
+simkernel.MAX_STEPS and,
 for `run` and `validate`, an experiment name that cannot name its output
 file (one holding a path separator or a NUL, `.`, `..`, `summary` or a
 name starting with `fig_`) included, 3 simulation diverged or its

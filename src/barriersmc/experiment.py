@@ -45,6 +45,20 @@ expect_no_reentry_after_last_escape   optional declared expectations
 A simulation that diverges or whose disturbance exceeds d_bar does not
 raise out of `run_experiment`: it becomes an `error` row of the summary.
 
+Work split over the CPUs
+------------------------
+Four loops run through `_fork_map`, which splits its items into one
+contiguous share per CPU in the process's affinity mask, computes the
+first share itself and each other one in a forked child that pickles its
+results back: `run_batch` over its experiments, `_write_columns` over
+blocks of rows, `emit_plot_data` over its trajectory files and `sweep`
+over its grid points. None of them runs inside another. A share under
+_FORK_MIN_SAMPLES samples stays in this process, and so does everything
+on a platform without `os.fork`. The results, and so every output byte,
+are those of the serial loop, and an error is the first one in item
+order, as the serial loop raises it. `taskset -c 0` runs everything in
+one process.
+
 Trajectory CSV
 --------------
 `write_trajectory_csv` writes the header line
@@ -61,6 +75,8 @@ on a malformed file.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -98,6 +114,12 @@ from barriersmc.simkernel import (
 )
 
 FLOAT_FMT = "%.17g"  # round-trips doubles exactly
+
+# `_fork_map` forks only when each share holds at least this many samples
+# (Euler steps to simulate, or trajectory rows to format or parse): below
+# it, the fork, the pipe and the pickled results cost more than the share
+_FORK_MIN_SAMPLES = 5000
+_WRITE_CHUNK_ROWS = 1000  # `_write_columns` formats rows in parts this long
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
 
@@ -149,6 +171,71 @@ class ExperimentSpec:
             if not math.isfinite(signal.omega * t_last + signal.phase):
                 raise ValueError(f"sinusoid argument omega*t + phase overflows by "
                                  f"t = {t_last!r}")
+
+
+# --- work split over the CPUs ---------------------------------------------
+
+def _fork_map(fn, items, samples: int) -> list:
+    """`[fn(x) for x in items]`, in item order, computed in contiguous
+    shares of the items, one per CPU in this process's affinity mask: this
+    process computes the first share, and a forked child each other one,
+    which pickles its results, or its error, back through a pipe.
+
+    Serial when the platform has no `os.fork` or `os.sched_getaffinity`,
+    when one CPU is available, or when a share would cover fewer than
+    _FORK_MIN_SAMPLES of the `samples` that all the items cover. Every
+    child is reaped before this returns or raises, and the error raised is
+    the one the serial loop raises: the first in item order. A child that
+    ends without a complete result is a RuntimeError. `fn` must not call
+    `_fork_map` itself.
+    """
+    items = list(items)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    shares = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(items),
+                 samples // _FORK_MIN_SAMPLES)
+    if shares < 2:
+        return [fn(x) for x in items]
+    # rounded up, so the first share, which is not pickled, is the largest
+    cuts = [-(-len(items) * i // shares) for i in range(shares + 1)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(fn, items[lo:hi], w)  # never returns
+            os.close(w)  # so that the read end sees EOF once the child exits
+            children.append((pid, r))
+        results = [fn(x) for x in items[:cuts[1]]]
+    finally:  # every pipe read to EOF, every child reaped
+        ends = []
+        for pid, r in children:
+            with os.fdopen(r, "rb") as pipe:
+                ends.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
+    for pid, data, status in ends:
+        if status or not data:
+            raise RuntimeError(f"worker {pid} ended without a result (wait status {status})")
+        tag, value = pickle.loads(data)
+        if tag == "err":
+            raise value
+        results += value
+    return results
+
+
+def _serve_share(fn, share: list, w: int) -> None:
+    """In a child of `_fork_map`: pickle ("ok", results) or ("err", exc)
+    for one share to the pipe's write end w, then exit the process without
+    running atexit handlers or flushing the parent's buffers a second time."""
+    try:
+        try:
+            out = ("ok", [fn(x) for x in share])
+        except BaseException as exc:  # re-raised by the parent, in item order
+            out = ("err", exc)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        os._exit(0)
+    finally:  # reached only if the result could not be written
+        os._exit(1)
 
 
 # --- config schema ---------------------------------------------------------
@@ -421,8 +508,13 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
 def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
     """Write equal-length float columns as CSV, every value as FLOAT_FMT."""
     row = ",".join([FLOAT_FMT] * len(cols)) + "\n"
-    rows = map(row.__mod__, zip(*[c.tolist() for c in cols]))
-    Path(path).write_text(",".join(header) + "\n" + "".join(rows))
+
+    def rows(lo: int) -> str:
+        part = [c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in cols]
+        return "".join(map(row.__mod__, zip(*part)))
+
+    parts = _fork_map(rows, range(0, len(cols[0]), _WRITE_CHUNK_ROWS), len(cols[0]))
+    Path(path).write_text(",".join(header) + "\n" + "".join(parts))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -596,7 +688,7 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     check_output_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = [run_experiment(s) for s in specs]
+    results = _fork_map(run_experiment, specs, sum(n_steps(s.sim) + 1 for s in specs))
     for r in results:
         if r.trajectory is not None:
             write_trajectory_csv(r.trajectory, out_dir / f"{r.spec.name}.csv")
@@ -644,8 +736,9 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         points.append((rho, lam, law, bound))
     s0, h, n = base.sim.s0, base.sim.h, n_steps(base.sim)  # shared by every point
     column, tbg = base.disturbance.sample(h, n), base.controller.tbg_columns(s0, h, n)
-    rows = []
-    for rho, lam, law, bound in points:
+
+    def evaluate(point) -> SweepRow:
+        rho, lam, law, bound = point
         ctrl = replace(base.controller, law=law)
         traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
         peak_u = float(np.abs(traj.u_applied).max())
@@ -653,7 +746,9 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv
                   if target_sigma > 0 else None)
         feasible = bound <= target_sigma and peak_u <= u_budget
-        rows.append(SweepRow(rho, lam, bound, peak_u, t_conv, feasible))
+        return SweepRow(rho, lam, bound, peak_u, t_conv, feasible)
+
+    rows = _fork_map(evaluate, points, len(points) * (n + 1))
     rows.sort(key=lambda r: (not r.feasible,
                              math.inf if r.t_conv is None else r.t_conv))
     return rows
@@ -692,7 +787,9 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     files = sorted(Path(f) for f in traj_files)
     if not files:
         raise ConfigError("no trajectory files given")
-    trajs = [(f.stem, read_trajectory_csv(f)) for f in files]
+    # a trajectory CSV row takes ~120 bytes: the file sizes estimate the rows
+    rows = sum(f.stat().st_size for f in files if f.is_file()) // 120
+    trajs = list(zip((f.stem for f in files), _fork_map(read_trajectory_csv, files, rows)))
     first = trajs[0][1]
     for name, traj in trajs[1:]:
         if not np.array_equal(traj.t, first.t):

@@ -98,6 +98,9 @@ class SimulationDiverged(RuntimeError):
         self.t = t
         self.trajectory = trajectory
 
+    def __reduce__(self):  # pickle calls __init__ with all three arguments
+        return type(self), (self.args[0], self.t, self.trajectory)
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -189,6 +192,12 @@ class DisturbanceSpec:
         return column
 
 
+# The most Euler steps a run may take: 1e8 steps hold ~3.2 GB of records
+# and write ~12 GB of trajectory CSV. A longer run is a configuration error,
+# which `validate` reports instead of `run` looping for hours.
+MAX_STEPS = 10**8
+
+
 @dataclass(frozen=True)
 class SimConfig:
     s0: float
@@ -201,8 +210,8 @@ class SimConfig:
             raise ValueError(f"s0 must be finite, got {self.s0!r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive, got {self.h!r}")
-        if not (self.t_end >= self.h and math.isfinite(self.t_end / self.h)):
-            raise ValueError(f"t_end must be >= h with t_end / h finite, got {self.t_end!r}")
+        if not (self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS):
+            raise ValueError(f"t_end must be >= h and <= {MAX_STEPS:.0e} * h, got {self.t_end!r}")
         if self.u_max is not None and not (math.isfinite(self.u_max) and self.u_max > 0):
             raise ValueError(f"u_max must be positive when present, got {self.u_max!r}")
 

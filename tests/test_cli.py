@@ -3,7 +3,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -349,6 +352,98 @@ def test_cli_and_config_loading_import_no_configparser():
     assert out == "False\n"
 
 
+def test_cli_and_config_loading_import_no_process_pool():
+    # forked shares need only os and pickle, which numpy loads already; a
+    # pool module would add its import time to every command
+    code = ("import sys\nfrom barriersmc import cli\n"
+            f"for path in ({str(SEC3)!r}, {str(SEC7)!r}):\n"
+            "    cli.experiment.load_config(path)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_step_count_over_the_ceiling_exits_2(tmp_path, capsys, command):
+    # 1e300 steps: rejected with the config, before anything is simulated
+    text = QUICK.replace("fixed_sign\nk = 0.0", "kinfty\nlaw = convex\nrho = 5.0\nlam = 0.05")
+    p = write(tmp_path, text.replace("h = 0.001\nt_end = 0.1", "h = 1e-300\nt_end = 1.0"))
+    extra = {"validate": [], "run": ["--out", str(tmp_path / "out")],
+             "sweep": ["--grid", "rho=1;lam=0.05", "--target", "1", "--budget", "1"]}
+    assert cli.main([command, str(p), *extra[command]]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [still] ") and len(err.splitlines()) == 1
+    assert "<= 1e+08 * h" in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ncpu", [1, 2])
+def test_sweep_divergence_in_a_forked_share_exits_3(capsys, cpus, forks, ncpu):
+    # the diverging point (25, 0.01) is the second, which a child computes on two CPUs
+    cpus(ncpu)
+    code = cli.main(["sweep", str(SEC7), "--experiment", "cv", "--grid", "rho=1,25;lam=0.01",
+                     "--target", "3.52e-3", "--budget", "10"])
+    assert code == cli.EXIT_DIVERGED and len(forks) == ncpu - 1
+    assert capsys.readouterr().err == "simulation error: control non-finite at t = 0.654\n"
+
+
+def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, forks):
+    # both campaigns cut to 1.5 s, with a share minimum low enough that every
+    # call site still splits; the full-length bytes are the replay golden's
+    monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 500)
+    trees, codes = [], []
+    for ncpu in (1, 2):
+        cpus(ncpu)
+        for cfg, figures in ((SEC7, ("sliding", "gains", "inputs")), (SEC3, ("escape",))):
+            p = write(tmp_path, re.sub(r"t_end = \d+\.0", "t_end = 1.5", cfg.read_text()))
+            out = tmp_path / str(ncpu) / cfg.stem
+            codes.append(cli.main(["run", str(p), "--out", str(out)]))
+            for figure in figures:
+                assert cli.main(["plot", str(out), "--figure", figure]) == cli.EXIT_OK
+        trees.append({f.relative_to(tmp_path / str(ncpu)).as_posix(): f.read_bytes()
+                      for f in (tmp_path / str(ncpu)).rglob("*") if f.is_file()})
+        assert len(forks) == (ncpu - 1) * 16
+    assert trees[0] == trees[1] and len(trees[0]) == 12
+    assert codes[:2] == codes[2:]
+
+
+# sha256 prefixes of sweep_csv on each sec7 base over the 9-point grid that
+# the benchmark's `sweep` draws with seed 0
+SWEEP_DIGESTS = {"cc": "5228c3e0690c4bf0", "cv": "eae45c10b8c4a314",
+                 "sat": "051d07fc5f13993a", "tbg": "de1c7cf564f521a7"}
+
+
+def test_sweep_csv_is_the_same_on_one_and_two_cpus(cpus, forks):
+    rng = random.Random(0)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    grid = [(log_uniform(0.5, 5.0), log_uniform(0.03, 0.3)) for _ in range(9)]
+    for ncpu in (1, 2):
+        cpus(ncpu)
+        digests = {base.name: hashlib.sha256(cli.experiment.sweep_csv(
+            cli.experiment.sweep(base, grid, 3.52e-3, 10.0)).encode()).hexdigest()[:16]
+            for base in cli.experiment.load_config(SEC7)}
+        assert digests == SWEEP_DIGESTS
+        assert len(forks) == (ncpu - 1) * 4
+
+
+def test_a_short_run_forks_nothing(tmp_path, monkeypatch, cpus):
+    def no_fork():
+        raise AssertionError("forked for a 101-sample run")
+
+    cpus(2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    p = write(tmp_path, QUICK)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert cli.main(["plot", str(tmp_path / "out"), "--figure", "sliding"]) == cli.EXIT_OK
+    p = write(tmp_path, QUICK.replace("fixed_sign\nk = 0.0",
+                                      "kinfty\nlaw = convex\nrho = 5.0\nlam = 0.05"))
+    assert cli.main(["sweep", str(p), "--grid", "rho=1,5;lam=0.05",
+                     "--target", "3.1e-3", "--budget", "1e6"]) == cli.EXIT_OK
+
+
 def test_run_missing_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
 
@@ -416,14 +511,17 @@ def replay_script():
     return script
 
 
-def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script):
+def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script, cpus, forks):
     # the replay script runs what the benchmark's replay workload runs: both
     # campaigns through `run`, then the four figures through `plot`
+    cpus(2)
     assert replay_script.main(["--out", str(tmp_path)]) == cli.EXIT_OK
     golden = json.loads((REPO / "benchmark" / "replay_sha256.json").read_text())
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     assert got == golden
+    # 2 batches, 6 trajectory CSVs, 4 plot reads and 4 figures, each split in two
+    assert len(forks) == 16
 
 
 @pytest.mark.parametrize("text, code", [(FAILING, cli.EXIT_EXPECTATION),
@@ -466,6 +564,25 @@ def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
     assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {csv}: ")
     if where is not None:  # the 1-based file line, the header being line 1
         assert err == f"configuration error: {csv}: {where}\n"
+
+
+@pytest.mark.parametrize("ncpu", [1, 2])
+@pytest.mark.parametrize("bad", [("a", "still"), ("still",)])
+def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, monkeypatch,
+                                                             cpus, forks, ncpu, bad):
+    # with two CPUs a.csv is read in this process and still.csv in a child
+    cpus(ncpu)
+    monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 1)
+    out = run_small(tmp_path)
+    rows = (out / "still.csv").read_text().splitlines()
+    (out / "a.csv").write_text("\n".join(rows) + "\n")
+    for name in bad:
+        (out / f"{name}.csv").write_text("\n".join(rows[:2] + ["1,2"] + rows[3:]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {out / bad[0]}.csv: "
+                                       "line 3: 2 fields, expected 6\n")
+    assert len(forks) == ncpu - 1
 
 
 def test_unwritable_run_output_exits_2(tmp_path, capsys):

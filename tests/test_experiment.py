@@ -1,5 +1,8 @@
 import configparser
+import itertools
 import math
+import os
+import pickle
 import random
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from barriersmc import analysis, controllers, experiment
+from barriersmc import analysis, cli, controllers, experiment, gains, simkernel
 from barriersmc.controllers import (
     FixedSign,
     KInfty,
@@ -408,3 +411,96 @@ class TestEmitPlotData:
         out = self._batch(tmp_path)
         with pytest.raises(ConfigError):
             emit_plot_data([out / "obeid.csv"], "hologram", tmp_path / "f.csv")
+
+
+class TestForkMap:
+    """`_fork_map` against the serial loop it stands for. The `cpus`
+    fixture sets the affinity mask, so these fork on any host."""
+
+    MIN = experiment._FORK_MIN_SAMPLES
+
+    @pytest.mark.parametrize("ncpu", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_the_list_comprehension(self, n, ncpu, cpus, forks):
+        cpus(ncpu)
+        items = [i + 0.5 for i in range(n)]
+        got = experiment._fork_map(lambda x: (x, os.getpid()), items, n * self.MIN)
+        assert [x for x, _ in got] == items
+        assert len(forks) == min(n, ncpu) - 1
+        # contiguous shares: this process's first, then each child's in fork order
+        assert [pid for pid, _ in itertools.groupby(p for _, p in got)] == [os.getpid(), *forks]
+
+    def test_serial_below_the_minimum_share(self, cpus, forks):
+        cpus(2)
+        assert experiment._fork_map(abs, [-1, -2, -3], 2 * self.MIN - 1) == [1, 2, 3]
+        assert forks == []
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_the_platform_calls(self, monkeypatch, cpus, forks, missing):
+        cpus(2)
+        monkeypatch.delattr(os, missing)
+        assert experiment._fork_map(abs, [-1, -2], 2 * self.MIN) == [1, 2]
+        assert forks == []
+
+    @pytest.mark.parametrize("bad, first", [
+        ({1, 3, 5}, 1),  # this process's share
+        ({3, 5}, 3),  # the first child's
+        ({5}, 5),  # the last child's
+        ({2, 3}, 2),  # the first child's first item
+    ])
+    def test_the_first_error_in_item_order_wins(self, cpus, forks, bad, first):
+        cpus(3)  # shares [0, 2), [2, 4), [4, 6)
+
+        def fn(x):
+            if x in bad:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            experiment._fork_map(fn, range(6), 6 * self.MIN)
+        assert len(forks) == 2
+
+    def test_a_child_that_ends_without_a_result_raises(self, cpus, forks):
+        cpus(2)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                os._exit(1)
+            return x
+
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            experiment._fork_map(fn, range(4), 4 * self.MIN)
+        assert len(forks) == 1
+
+
+def _exception_classes():
+    modules = (analysis, cli, controllers, experiment, gains, simkernel)
+    return sorted({cls for mod in modules for cls in vars(mod).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__.startswith("barriersmc.")}, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__name__)
+def test_every_exception_survives_pickle(cls):
+    # a forked share returns its error pickled
+    if cls is simkernel.SimulationDiverged:
+        traj = run_experiment(quick_spec()).trajectory
+        exc = cls("control non-finite at t = 0.5", 0.5, traj)
+    else:
+        exc = cls("message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc)
+    assert vars(back).keys() == vars(exc).keys()
+    for name, value in vars(exc).items():
+        if isinstance(value, Trajectory):
+            for column in TRAJECTORY_COLUMNS:
+                assert getattr(vars(back)[name], column).tobytes() == \
+                    getattr(value, column).tobytes()
+        else:
+            assert vars(back)[name] == value
+
+
+def test_exception_classes_found():
+    assert {c.__name__ for c in _exception_classes()} >= {
+        "ConfigError", "SimulationDiverged", "DisturbanceBoundError", "BarrierPoleError"}

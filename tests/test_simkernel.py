@@ -22,6 +22,7 @@ from barriersmc.simkernel import (
     DisturbanceSpec,
     DisturbanceBoundError,
     ExtrapolationError,
+    MAX_STEPS,
     PiecewiseVII,
     SimConfig,
     SimulationDiverged,
@@ -87,6 +88,14 @@ class TestSimConfig:
             SimConfig(1.0, 1e-3, 1e-4)
         with pytest.raises(ValueError):
             SimConfig(1.0, 1e-3, 1.0, u_max=-1.0)
+
+    def test_step_count_ceiling(self):
+        # checked on the config alone: nothing this long is ever simulated
+        assert n_steps(SimConfig(1.0, 0.01, 1e6)) == MAX_STEPS == 10**8
+        with pytest.raises(ValueError, match=r"<= 1e\+08 \* h"):
+            SimConfig(1.0, 0.01, 1e6 + 0.01)
+        with pytest.raises(ValueError):
+            SimConfig(1.0, 1e-300, 1.0)
 
 
 class TestSimulate:
