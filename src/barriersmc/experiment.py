@@ -53,11 +53,11 @@ first share itself and each other one in a forked child that pickles its
 results back: `run_batch` over its experiments, `_write_columns` over
 blocks of rows, `emit_plot_data` over its trajectory files and `sweep`
 over its grid points. None of them runs inside another. A share under
-_FORK_MIN_SAMPLES samples stays in this process, and so does everything
-on a platform without `os.fork`. The results, and so every output byte,
-are those of the serial loop, and an error is the first one in item
-order, as the serial loop raises it. `taskset -c 0` runs everything in
-one process.
+_FORK_MIN_SAMPLES samples (rows, or a call site's Euler steps per sample)
+stays in this process, and so does everything on a platform without
+`os.fork`. The results, and so every output byte, are those of the serial
+loop, and an error is the first one in item order, as the serial loop
+raises it. `taskset -c 0` runs everything in one process.
 
 Trajectory CSV
 --------------
@@ -115,10 +115,16 @@ from barriersmc.simkernel import (
 
 FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 
-# `_fork_map` forks only when each share holds at least this many samples
-# (Euler steps to simulate, or trajectory rows to format or parse): below
-# it, the fork, the pipe and the pickled results cost more than the share
+# `_fork_map` forks only when each share holds at least this many samples,
+# a sample being the work of one trajectory row to format or parse: below
+# it, the fork, the pipe and the pickled results cost more than the share.
+# The simulating call sites count several Euler steps as one sample, from
+# their break-even shares (two items, serial against forked, 2-vCPU host):
+# ~10000 steps for grid points, which return one row each, and ~15000 for
+# experiments, which return their whole trajectories.
 _FORK_MIN_SAMPLES = 5000
+_SWEEP_STEPS_PER_SAMPLE = 2
+_RUN_STEPS_PER_SAMPLE = 3
 _WRITE_CHUNK_ROWS = 1000  # `_write_columns` formats rows in parts this long
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
@@ -688,7 +694,8 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     check_output_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _fork_map(run_experiment, specs, sum(n_steps(s.sim) + 1 for s in specs))
+    steps = sum(n_steps(s.sim) + 1 for s in specs)
+    results = _fork_map(run_experiment, specs, steps // _RUN_STEPS_PER_SAMPLE)
     for r in results:
         if r.trajectory is not None:
             write_trajectory_csv(r.trajectory, out_dir / f"{r.spec.name}.csv")
@@ -748,7 +755,7 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         feasible = bound <= target_sigma and peak_u <= u_budget
         return SweepRow(rho, lam, bound, peak_u, t_conv, feasible)
 
-    rows = _fork_map(evaluate, points, len(points) * (n + 1))
+    rows = _fork_map(evaluate, points, len(points) * (n + 1) // _SWEEP_STEPS_PER_SAMPLE)
     rows.sort(key=lambda r: (not r.feasible,
                              math.inf if r.t_conv is None else r.t_conv))
     return rows

@@ -5,11 +5,12 @@ left endpoint. Deterministic: identical inputs give bit-identical
 trajectories.
 
 Each disturbance signal is a frozen dataclass whose `__call__(t)` samples
-it, just as each controller descriptor carries its `control`;
-`DisturbanceSpec.sample` and `simulate` bind them once and run no dispatch
-over variants per step. A new signal
-is a class with its `__call__`, added to `Signal` and to the config schema
-in `experiment`.
+it, just as each controller descriptor carries its `control`, and whose
+`column(t)` is its array form: `__call__` at every time of an ascending
+float64 grid, bit for bit, up to the first time at which `__call__`
+would raise. `DisturbanceSpec.sample` calls `column` once, and no step
+dispatches over variants. A new signal is a class with both, added to
+`Signal` and to the config schema in `experiment`.
 
 The kernel's contract
 ---------------------
@@ -17,11 +18,19 @@ The kernel's contract
   element for element; no numpy scalar reaches a signal or a controller.
 - The disturbance does not depend on the state, so its whole column
   d(t_k), k = 0..n, is sampled before the loop by
-  `DisturbanceSpec.sample(h, n)`. A caller that runs one disturbance
-  many times, as a sweep does over its grid points, samples the column
-  once and passes it in: `simulate(c, d, cfg, column)` requires that
-  `column` equals `d.sample(cfg.h, n_steps(cfg))`, and samples it itself
-  when none is passed. The kernel keeps no state between calls.
+  `DisturbanceSpec.sample(h, n)`, at array speed: the signal's `column`
+  applies numpy's elementwise + - * / in the order of its `__call__`,
+  which rounds each operation as Python's float arithmetic does, and maps
+  `math.sin`/`math.cos` over the arguments as Python floats (numpy's own
+  differ from libm in the last bit). A table finds its intervals with
+  `searchsorted(side="right")` where `__call__` uses `bisect_right`. A
+  caller that runs one disturbance many times, as a sweep does over its
+  grid points, samples the column once and passes it in:
+  `simulate(c, d, cfg, column)` requires that `column` equals
+  `d.sample(cfg.h, n_steps(cfg))`, and samples it itself when none is
+  passed. The kernel keeps no state between calls. `__call__` stays the
+  reference: `simulate` samples a step with it where the column stopped,
+  to raise that step's error, and the tests compare `column` with it.
 - Three loops, one per controller shape. A descriptor with
   `fused_terms()`, that is one built on a class-Kinf law (`KInfty`,
   `SaturatedKInfty`, `TbgIntegral`), has its control inlined from the
@@ -43,9 +52,12 @@ The kernel's contract
   depends on the plant, so both are columns, z_k and w_k for k = 0..n,
   that the descriptor's `tbg_columns(s0, h, n)` builds before the loop:
   `TbgIntegral`'s auxiliary state and feedforward term as its `control`
-  computes them, bit for bit. A caller may build them once and pass them
-  in, as a sweep does for the grid points of one base: then `tbg` must
-  equal `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
+  computes them, bit for bit. Its rate kg(t_k) is a column built as a
+  signal's is, from `tbg_kg`'s formulas; only the z recurrence is a
+  Python loop, and w = -kg*z is one numpy product. A caller may build
+  them once and pass them in, as a sweep does for the grid points of one
+  base: then `tbg` must equal
+  `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
@@ -62,13 +74,14 @@ The kernel's contract
   shared. `u_applied` is `u_commanded` clipped to +-u_max, which is the
   loop's clamp on every finite control. The loops read h, u_max and the
   record columns as plain locals: only the `record` and `diverged`
-  helpers close over the record columns, through one tuple.
+  helpers close over the record columns, through one list.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -102,6 +115,17 @@ class SimulationDiverged(RuntimeError):
         return type(self), (self.args[0], self.t, self.trajectory)
 
 
+def _trig(f, x: np.ndarray) -> np.ndarray:
+    """f (`math.sin` or `math.cos`, which numpy's differ from in the last
+    bit) of each x as a Python float, up to the first infinite x, on which
+    f raises."""
+    try:
+        out = list(map(f, x.tolist()))
+    except ValueError:  # math domain error: x holds an infinity
+        out = list(map(f, x[:int(np.isinf(x).argmax())].tolist()))
+    return np.frombuffer(array("d", out))
+
+
 @dataclass(frozen=True)
 class Sinusoid:
     """amplitude * sin(omega*t + phase)."""
@@ -113,6 +137,13 @@ class Sinusoid:
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.omega * t + self.phase)
 
+    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
+    def column(self, t: np.ndarray) -> np.ndarray:
+        x = self.omega * t
+        x += self.phase
+        v = _trig(math.sin, x)
+        return np.multiply(self.amplitude, v, out=v)
+
 
 @dataclass(frozen=True)
 class PiecewiseVII:
@@ -123,6 +154,16 @@ class PiecewiseVII:
             return 0.1 * math.sin(3.0 * t)
         return 0.2 * math.cos(5.0 * t)
 
+    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
+    def column(self, t: np.ndarray) -> np.ndarray:
+        i = int(t.searchsorted(5.0, side="right"))  # the samples with t <= 5
+        v = _trig(math.sin, 3.0 * t[:i])
+        np.multiply(0.1, v, out=v)
+        if i == len(t):
+            return v
+        after = _trig(math.cos, 5.0 * t[i:])
+        return np.concatenate((v, np.multiply(0.2, after, out=after)))
+
 
 @dataclass(frozen=True)
 class CustomTable:
@@ -132,9 +173,14 @@ class CustomTable:
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.values) or len(self.times) < 2:
+        times = self.times
+        if len(times) != len(self.values) or len(times) < 2:
             raise ValueError("table needs >= 2 aligned (time, value) samples")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        # strictly increasing times between finite ends are all finite
+        if not (math.isfinite(times[0]) and math.isfinite(times[-1])
+                and all(map(math.isfinite, self.values))):
+            raise ValueError("table times and values must be finite")
+        if not all(map(operator.lt, times, times[1:])):
             raise ValueError("table times must be strictly increasing")
 
     def __call__(self, t: float) -> float:
@@ -148,6 +194,24 @@ class CustomTable:
         t0, t1 = self.times[i], self.times[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
+    def column(self, t: np.ndarray) -> np.ndarray:
+        times, values = np.array(self.times, float), np.array(self.values, float)
+        # the samples up to the first one outside the table's domain
+        t = t[:0 if t[0] < times[0] else int(t.searchsorted(times[-1], side="right"))]
+        # bisect_right - 1, capped below the last node, whose sample is set below
+        i = times[:-1].searchsorted(t, side="right") - 1
+        t0, v0 = times.take(i), values.take(i)
+        i += 1
+        t1, v1 = times.take(i), values.take(i)
+        v1 -= v0
+        v1 *= t - t0
+        v1 /= t1 - t0
+        v = np.add(v0, v1, out=v0)
+        if len(t) and t[-1] == times[-1]:  # only the last sample can sit on the last node
+            v[-1] = values[-1]
+        return v
 
 
 Signal = Sinusoid | PiecewiseVII | CustomTable
@@ -176,20 +240,13 @@ class DisturbanceSpec:
             raise ValueError(f"table |d| exceeds declared d_bar = {self.d_bar!r}")
 
     def sample(self, h: float, n: int) -> array:
-        """signal(k*h) for k = 0..n.
+        """signal(k*h) for k = 0..n, from the signal's `column`.
 
         The column stops before the first sample that raises; `simulate`
         samples that step again and raises there, after the checks that
         come first.
         """
-        column = array("d")
-        append, signal = column.append, self.signal
-        try:
-            for k in range(n + 1):
-                append(signal(k * h))
-        except Exception:
-            pass  # re-raised in step order by simulate
-        return column
+        return array("d", self.signal.column(np.arange(n + 1) * h).tobytes())
 
 
 # The most Euler steps a run may take: 1e8 steps hold ~3.2 GB of records
@@ -261,24 +318,25 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
     h, u_max = cfg.h, cfg.u_max
     if column is None:
         column = d.sample(h, n)
-    over = np.flatnonzero(np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12))
-    m = int(over[0]) if len(over) else len(column)  # the steps that sample d cleanly
+    over = np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12)
+    m = int(over.argmax()) if over.any() else len(column)  # the steps that sample d cleanly
     # the loops read plain locals, and store through memoryviews: their item
     # stores are cheaper than array's. Only the helpers below see `records`.
-    records = s_rec, u_cmd, g_rec = tuple(memoryview(array("d", [0.0]) * m) for _ in range(3))
+    records = s_rec, u_cmd, g_rec = [memoryview(array("d", [0.0]) * m) for _ in range(3)]
 
     def record(k: int) -> Trajectory:
-        s, u, g = (np.frombuffer(a, count=k) for a in records)
-        return Trajectory(np.arange(k) * cfg.h, s, u,  # the clip is the loop's clamp on finite u
-                          u.copy() if cfg.u_max is None else np.clip(u, -cfg.u_max, cfg.u_max),
-                          np.abs(u) if relay else g, np.frombuffer(column, count=k).copy(),
-                          cfg, c.spec, d)
+        s, u = np.frombuffer(records[0], count=k), np.frombuffer(records[1], count=k)
+        lim = cfg.u_max  # the loop's clamp, on the finite u that a record holds
+        return Trajectory(np.arange(k) * cfg.h, s, u,
+                          u.copy() if lim is None else np.minimum(np.maximum(u, -lim), lim),
+                          np.abs(u) if relay else np.frombuffer(records[2], count=k),
+                          np.frombuffer(column, count=k).copy(), cfg, c.spec, d)
 
     def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
         """The divergence at the first non-finite state or control of steps
         0..k-1, else at step k if its state s is non-finite, else None."""
-        states, controls = (np.frombuffer(a, count=k) for a in records[:2])
-        ok = np.isfinite(states) & np.isfinite(controls)
+        ok = np.isfinite(np.frombuffer(records[0], count=k))
+        ok &= np.isfinite(np.frombuffer(records[1], count=k))
         j = k if ok.all() else int(ok.argmin())
         if j == k and math.isfinite(s):
             return None

@@ -214,24 +214,33 @@ def _sections(path):
     return [dict(raw[name]) for name in raw.sections()]
 
 
-@settings(deadline=None, max_examples=100)
-@given(section=st.sampled_from(_sections(SEC7) + _sections(SEC3)),
-       tuning=st.one_of(st.lists(sweep_values, min_size=2, max_size=2),
-                        st.sampled_from([[25.0, 1e-4], [1e100, 0.01]])),
-       s0=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e300])),
-       t_end=st.sampled_from(["0.001", "0.05", "0.5"]), keep_expectations=st.booleans())
-def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
-                              keep_expectations):
-    # one section of a bundled campaign with a fuzzed tuning, start and
-    # horizon; (rho, lam) = (25, 1e-4) or (1e100, 0.01) diverges on the
-    # convex sections without an actuator limit
+# one section of a bundled campaign with a fuzzed tuning, start and horizon;
+# (rho, lam) = (25, 1e-4) or (1e100, 0.01) diverges on the convex sections
+# without an actuator limit
+FUZZED_RUNS = dict(
+    section=st.sampled_from(_sections(SEC7) + _sections(SEC3)),
+    tuning=st.one_of(st.lists(sweep_values, min_size=2, max_size=2),
+                     st.sampled_from([[25.0, 1e-4], [1e100, 0.01]])),
+    s0=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e300])),
+    t_end=st.sampled_from(["0.001", "0.05", "0.5"]), keep_expectations=st.booleans())
+
+
+def write_fuzzed(tmp, section, tuning, s0, t_end, keep_expectations):
+    """The config file of one FUZZED_RUNS draw, and its items."""
     items = dict(section)
     keys = ("rho", "lam") if "rho" in items else ("epsilon", "k_bar")
     items.update(zip(keys, map(repr, tuning)), s0=repr(s0), t_end=t_end)
     if not keep_expectations:
         items = {k: v for k, v in items.items() if not k.startswith("expect_")}
+    return write(tmp, "[fuzzed]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())), items
+
+
+@settings(deadline=None, max_examples=100)
+@given(**FUZZED_RUNS)
+def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
+                              keep_expectations):
     tmp = tmp_path_factory.mktemp("fuzz")
-    cfg = write(tmp, "[fuzzed]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
+    cfg, items = write_fuzzed(tmp, section, tuning, s0, t_end, keep_expectations)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = cli.main(["run", str(cfg), "--out", str(tmp / "out")])
@@ -239,6 +248,22 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_EXPECTATION:
         assert any(k.startswith("expect_") for k in items)
+
+
+@settings(deadline=None, max_examples=100)
+@given(**FUZZED_RUNS)
+def test_validate_rejects_exactly_what_run_rejects(tmp_path_factory, section, tuning, s0,
+                                                   t_end, keep_expectations):
+    tmp = tmp_path_factory.mktemp("agree")
+    cfg, _ = write_fuzzed(tmp, section, tuning, s0, t_end, keep_expectations)
+    codes = []
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp / "out")]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    validate, run = codes
+    assert (validate == cli.EXIT_CONFIG) == (run == cli.EXIT_CONFIG)
+    if run == cli.EXIT_CONFIG:
+        assert not (tmp / "out").exists()  # run wrote nothing
 
 
 def custom_table(table_t, table_d, d_bar="1.0", t_end="1.0", h="0.1"):

@@ -2,7 +2,7 @@ import math
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barriersmc.controllers import (
     BARRIER,
@@ -178,6 +178,8 @@ t_f_steps = st.one_of(st.floats(0.01, 0.99), st.integers(1, 70).map(float),
 @given(s0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
        h=st.sampled_from([1e-3, 0.01, 0.1, 0.5]), n=st.integers(1, 60), t_f_h=t_f_steps,
        delta=st.floats(1e-6, 0.5))
+# z_2 = -inf, so w_2 = -0.0 * -inf is a NaN whose sign bit the operation order sets
+@example(s0=2e306, h=2.0, n=2, t_f_h=1.003185, delta=1e-4)
 def test_tbg_columns_are_the_z_and_feedforward_that_control_steps(s0, h, n, t_f_h, delta):
     p = TbgParams(t_f_h * h, delta)
     z, w = TbgIntegral(CV, p).tbg_columns(s0, h, n)

@@ -19,7 +19,6 @@ from barriersmc.controllers import (
     SaturatedKInfty,
     TbgIntegral,
     TbgParams,
-    tbg_kg,
 )
 from barriersmc.experiment import (
     TRAJECTORY_COLUMNS,
@@ -44,6 +43,7 @@ from barriersmc.simkernel import (
     SimConfig,
     Sinusoid,
     Trajectory,
+    n_steps,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -360,19 +360,20 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(self.base(), [], 1e-3, 10.0)
 
-    def test_tbg_columns_are_built_once_per_base(self, monkeypatch):
+    def test_tbg_columns_are_built_once_per_base(self, monkeypatch, cpus):
+        cpus(1)  # every grid point in this process, where the calls are counted
         calls = []
+        tbg_columns = TbgIntegral.tbg_columns
 
-        def counting_kg(t, p):
-            calls.append(t)
-            return tbg_kg(t, p)
+        def counting_columns(spec, s0, h, n):
+            calls.append((s0, h, n))
+            return tbg_columns(spec, s0, h, n)
 
-        monkeypatch.setattr(controllers, "tbg_kg", counting_kg)
+        monkeypatch.setattr(TbgIntegral, "tbg_columns", counting_columns)
         base = [s for s in load_config(SEC7) if s.name == "tbg"][0]
         grid = [(rho, lam) for rho in (1.0, 2.0, 5.0) for lam in (0.03, 0.05, 0.1)]
         assert len(sweep(base, grid, 3.52e-3, 10.0)) == 9
-        # k*h for k = 0..2000: t_f = 2 s at h = 1 ms, then z and w are frozen
-        assert 0 < len(calls) <= 2001
+        assert calls == [(base.sim.s0, base.sim.h, n_steps(base.sim))]
 
 
 class TestEmitPlotData:
@@ -459,6 +460,30 @@ class TestForkMap:
         with pytest.raises(ValueError, match=f"^item {first}$"):
             experiment._fork_map(fn, range(6), 6 * self.MIN)
         assert len(forks) == 2
+
+    @staticmethod
+    def stretched(name, steps):
+        """A sec7 experiment run for `steps` Euler steps."""
+        base = [s for s in load_config(SEC7) if s.name == name][0]
+        spec = ExperimentSpec(base.name, base.controller, base.disturbance,
+                              SimConfig(base.sim.s0, base.sim.h, steps * base.sim.h))
+        assert n_steps(spec.sim) == steps
+        return spec
+
+    @pytest.mark.parametrize("steps, forked", [(6000, 0), (12000, 1)])
+    def test_sweep_forks_from_its_break_even(self, cpus, forks, steps, forked):
+        cpus(2)
+        rows = sweep(self.stretched("sat", steps), [(5.0, 0.05), (4.0, 0.05)], 3.1e-3, 10.0)
+        assert len(rows) == 2 and len(forks) == forked
+
+    @pytest.mark.parametrize("steps, forked", [(12000, 0), (15000, 1)])
+    def test_run_batch_forks_from_its_break_even(self, monkeypatch, tmp_path, cpus, forks,
+                                                 steps, forked):
+        cpus(2)
+        monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path: None)
+        specs = [self.stretched(name, steps) for name in ("cc", "cv")]
+        assert not run_batch(specs, tmp_path).any_diverged
+        assert len(forks) == forked
 
     def test_a_child_that_ends_without_a_result_raises(self, cpus, forks):
         cpus(2)

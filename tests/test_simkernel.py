@@ -1,10 +1,11 @@
 import gc
 import math
 import weakref
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barriersmc.controllers import (
     Controller,
@@ -74,6 +75,18 @@ class TestDisturbances:
             CustomTable((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             CustomTable((0.0,), (1.0,))
+
+    @pytest.mark.parametrize("times, values", [
+        ((0.0, math.nan, 1.0), (0.0, 0.5, 0.1)),
+        ((math.nan, 1.0), (0.0, 0.1)),
+        ((0.0, math.inf), (0.0, 0.1)),
+        ((-math.inf, 1.0), (0.0, 0.1)),
+        ((0.0, 1.0), (math.nan, 0.1)),
+        ((0.0, 0.5, 1.0), (0.0, -math.inf, 0.1)),
+    ])
+    def test_custom_table_rejects_non_finite_entries(self, times, values):
+        with pytest.raises(ValueError, match="finite|increasing"):
+            CustomTable(times, values)
 
     def test_d_bar_positive(self):
         with pytest.raises(ValueError):
@@ -315,6 +328,35 @@ signals = st.one_of(
             tuple(end * i / (len(values) - 1) for i in range(len(values))),
             tuple(values)))),
 )
+
+
+def _scalar_column(signal, h, n):
+    """signal(k*h) for k = 0..n, up to the first sample that raises."""
+    out = []
+    for k in range(n + 1):
+        try:
+            out.append(signal(k * h))
+        except ValueError:  # ExtrapolationError, or math.sin(inf)
+            break
+    return array("d", out).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(signal=signals | st.builds(Sinusoid, st.floats(-2.0, 2.0),
+                                  st.sampled_from([1e300, -1e307, 1e308]),
+                                  zeros | st.floats(-1e308, 1e308)),
+       h=st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0]), n=st.integers(0, 300))
+@example(Sinusoid(1.0, 2.0, -0.0), 0.1, 30)
+@example(Sinusoid(-0.0, 1.0, 0.0), 0.1, 30)
+@example(PiecewiseVII(), 0.5, 12)  # t == 5.0 takes the sine branch
+@example(CustomTable((0.0, 0.35), (0.1, -0.1)), 0.1, 10)  # ends early
+@example(CustomTable((0.0, 1.0), (0.1, -0.1)), 0.25, 4)  # the last sample on the last node
+@example(CustomTable((0.1, 1.0), (0.1, -0.1)), 0.1, 4)  # starts after t = 0: no sample
+@example(Sinusoid(1.0, 1e308, 0.0), 0.5, 10)  # omega*t overflows at t = 2
+def test_signal_column_is_its_scalar_form(signal, h, n):
+    want = _scalar_column(signal, h, n)
+    assert signal.column(np.arange(n + 1) * h).tobytes() == want
+    assert DisturbanceSpec(signal, 1e300).sample(h, n).tobytes() == want
 
 
 @st.composite
