@@ -7,8 +7,9 @@ non-finite sweep target or budget, a sweep grid axis given twice, an
 invalid sweep grid point, a step h so small that t_end / h exceeds
 simkernel.MAX_STEPS and,
 for `run` and `validate`, an experiment name that cannot name its output
-file (one holding a path separator or a NUL, `.`, `..`, `summary` or a
-name starting with `fig_`) included, 3 simulation diverged or its
+file (one holding a path separator, a NUL or a comma, `.`, `..`,
+`summary` or a name starting with `fig_`) and, for `plot`, a trajectory
+file whose name holds a comma included, 3 simulation diverged or its
 disturbance exceeded d_bar. A chattering window that holds fewer than
 two samples leaves the run's total_variation cell empty.
 """

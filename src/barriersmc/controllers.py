@@ -8,12 +8,14 @@ descriptor's `control`, so no step dispatches over variants. Adaptive
 state is advanced by explicit Euler at the sample step, matching the plant
 loop. A new variant is a descriptor class with its `control`, added to
 `ControllerSpec` and to the config schema in `experiment`. The
-descriptors built on a class-Kinf law also give `fused_terms()`, the bound
-`law.gain` and the cap on the commanded gain, and `tbg_columns(s0, h, n)`,
-None for a relay and, for `TbgIntegral`, its auxiliary state z and
-feedforward term -kg*z at every sample: the TBG design is the relay acting
-on e = s - z plus a feedforward that does not depend on the plant. From
-these `simkernel.simulate` inlines their control without this state.
+descriptors built on a class-Kinf law (a `law` field) share one relay
+u = -min(K(|s|), cap) sign(s): each is its `law` and its `cap` on the
+commanded gain (inf unless it is capped). They also give
+`tbg_columns(s0, h, n)`, None for a relay and, for `TbgIntegral`, its
+auxiliary state z and feedforward term -kg*z at every sample: the TBG
+design is the relay acting on e = s - z plus a feedforward that does not
+depend on the plant. From `law.gain`, `cap` and these columns
+`simkernel.simulate` inlines their control without this state.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.gains import KinfLaw, PsbParams, saturate_gain
+from barriersmc.gains import KinfLaw, PsbParams
 
 
 def sign(x: float) -> float:
@@ -83,19 +85,21 @@ def tbg_z_closed_form(t: float, s0: float, p: TbgParams) -> float:
 
 @dataclass(frozen=True)
 class _KinfLawSpec:
-    """Base of the descriptors driven by a class-Kinf gain law `law`."""
+    """Base of the descriptors driven by a class-Kinf gain law `law`: the
+    relay u = -g sign(s) with g = K(|s|) capped at `cap`."""
 
     law: KinfLaw
+    cap = math.inf  # not a field: the cap on the commanded gain
 
     def __post_init__(self) -> None:
         if not isinstance(self.law, KinfLaw):
             raise ValueError(f"{type(self).__name__} requires a concave or convex gain law")
 
-    def fused_terms(self) -> tuple:
-        """What `simulate` needs in place of `control`: the bound `law.gain`
-        and the cap on the commanded gain. A subclass that overrides
-        `control` overrides this too, and `tbg_columns`."""
-        return self.law.gain, math.inf
+    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
+        g = self.law.gain(abs(s))
+        g = g if g < self.cap else self.cap
+        st.gain = g
+        return -g * sign(s)
 
     def tbg_columns(self, s0: float, h: float, n: int) -> Optional[Tuple[array, array]]:
         """The (z, w) columns of `simulate`'s TBG loop; None for a relay."""
@@ -105,11 +109,6 @@ class _KinfLawSpec:
 @dataclass(frozen=True)
 class KInfty(_KinfLawSpec):
     """Pure class-Kinf relay u = -K(|s|) sign(s)."""
-
-    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
-        g = self.law.gain(abs(s))
-        st.gain = g
-        return -g * sign(s)
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,9 @@ class SaturatedKInfty(_KinfLawSpec):
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError(f"k_max must be positive, got {self.k_max!r}")
 
-    def fused_terms(self) -> tuple:
-        return self.law.gain, self.k_max
-
-    def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
-        g = saturate_gain(self.law.gain(abs(s)), self.k_max)
-        st.gain = g
-        return -g * sign(s)
+    @property
+    def cap(self) -> float:
+        return self.k_max
 
 
 @dataclass(frozen=True)
@@ -211,11 +206,8 @@ class TbgIntegral(_KinfLawSpec):
         if st.z is None:
             st.z = s  # first sample defines s0
         kg = tbg_kg(t, self.tbg)
-        e = s - st.z
-        g = self.law.gain(abs(e))
-        u = -kg * st.z - g * sign(e)
+        u = -kg * st.z + super().control(st, t, s - st.z, h)  # the relay on e = s - z
         st.z -= h * kg * st.z
-        st.gain = g
         return u
 
 

@@ -492,12 +492,13 @@ def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
 
 def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
     """Reject a name whose `<name>.csv` would leave the output directory,
-    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there, or
-    hold a NUL, which no file name can."""
+    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there,
+    hold a NUL, which no file name can, or hold a comma, which would split
+    its field of `summary.csv` and its column of a figure's header."""
     for name in (s.name for s in specs):
-        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\\0") & set(name):
+        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\\0,") & set(name):
             raise ConfigError(f"[{name}] cannot name an output file: no path separator, "
-                              "NUL, '.', '..', 'summary' or 'fig_' prefix")
+                              "NUL, comma, '.', '..', 'summary' or 'fig_' prefix")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
@@ -786,7 +787,8 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     """Write aligned columnar data (t plus one column per experiment and
     signal) for a figure id. Trajectories must share the exact time grid;
     no resampling is attempted. The escape overlay also appends the shared
-    disturbance column."""
+    disturbance column. A file whose stem holds a comma is a ConfigError
+    that names it, raised before any file is read."""
     if figure not in FIGURE_SIGNALS:
         raise ConfigError(
             f"unknown figure '{figure}' (expected one of {sorted(FIGURE_SIGNALS)})"
@@ -794,6 +796,9 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     files = sorted(Path(f) for f in traj_files)
     if not files:
         raise ConfigError("no trajectory files given")
+    for f in files:  # the stem names the file's columns in the header
+        if "," in f.stem:
+            raise ConfigError(f"{f}: a comma in the file name would split its column")
     # a trajectory CSV row takes ~120 bytes: the file sizes estimate the rows
     rows = sum(f.stat().st_size for f in files if f.is_file()) // 120
     trajs = list(zip((f.stem for f in files), _fork_map(read_trajectory_csv, files, rows)))

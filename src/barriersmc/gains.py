@@ -144,11 +144,6 @@ class UltimateBound:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
 
-def saturate_gain(k: float, k_max: float) -> float:
-    """min(k, k_max): hard cap on a commanded gain."""
-    return k if k < k_max else k_max
-
-
 def eval_gain(law: GainLaw, abs_s: float) -> float:
     """Evaluate any gain law at |s|."""
     if not isinstance(law, GainLaw):

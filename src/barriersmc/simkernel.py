@@ -31,13 +31,13 @@ The kernel's contract
   passed. The kernel keeps no state between calls. `__call__` stays the
   reference: `simulate` samples a step with it where the column stopped,
   to raise that step's error, and the tests compare `column` with it.
-- Three loops, one per controller shape. A descriptor with
-  `fused_terms()`, that is one built on a class-Kinf law (`KInfty`,
-  `SaturatedKInfty`, `TbgIntegral`), has its control inlined from the
-  bound `law.gain` and the cap on the commanded gain that `fused_terms()`
-  returns, and does not have `Controller.state` written. It runs in the
-  relay loop when its `tbg_columns(s0, h, n)` is None, else in the TBG
-  loop. Every other descriptor (`ObeidTwoPhase`, `FixedSign`) runs in the
+- Three loops, one per controller shape. A descriptor with a `law`,
+  that is one built on a class-Kinf law (`KInfty`, `SaturatedKInfty`,
+  `TbgIntegral`), has its control inlined from the bound `law.gain` and
+  its `cap` on the commanded gain, which its own `control` reads too,
+  and does not have `Controller.state` written. It runs in the relay
+  loop when its `tbg_columns(s0, h, n)` is None, else in the TBG loop.
+  Every other descriptor (`ObeidTwoPhase`, `FixedSign`) runs in the
   reference loop, which calls its `control(state, t, s, h)` once per step
   and stores s, u and the gain. The relay and TBG loops give the bytes
   that the reference loop gives, with zero tolerance; the
@@ -48,7 +48,9 @@ The kernel's contract
   signed zero, and a step whose g is not finite has a non-finite u, so
   it is never recorded.
 - The TBG loop is the same relay acting on e = s - z, shifted by a
-  feedforward w: u = w - g*sign(e), storing s, u and g. Neither z nor w
+  feedforward w: u = w - g*sign(e), storing s, u and g. Its cap is inf,
+  so the loop applies none: the cap differs from K(|e|) only on a NaN,
+  which comes with a NaN e and so a NaN u, never recorded. Neither z nor w
   depends on the plant, so both are columns, z_k and w_k for k = 0..n,
   that the descriptor's `tbg_columns(s0, h, n)` builds before the loop:
   `TbgIntegral`'s auxiliary state and feedforward term as its `control`
@@ -72,9 +74,11 @@ The kernel's contract
   the array's own) and wrapped by `np.frombuffer`; the returned
   trajectory owns them, and its `d` is a copy of the column, which may be
   shared. `u_applied` is `u_commanded` clipped to +-u_max, which is the
-  loop's clamp on every finite control. The loops read h, u_max and the
-  record columns as plain locals: only the `record` and `diverged`
-  helpers close over the record columns, through one list.
+  loops' clamp on every finite control. Their chained comparisons cost
+  a tenth of `min(u_max, max(-u_max, u))` and, as it does, send a NaN to
+  -u_max. The loops read h, u_max and the record columns as plain
+  locals: only the `record` and `diverged` helpers close over the record
+  columns, through one list.
 """
 
 from __future__ import annotations
@@ -133,6 +137,10 @@ class Sinusoid:
     amplitude: float
     omega: float
     phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.amplitude, self.omega, self.phase))):
+            raise ValueError("sinusoid amplitude, omega and phase must be finite")
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.omega * t + self.phase)
@@ -343,17 +351,17 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
         what = "state" if j == k or not math.isfinite(records[0][j]) else "control"
         return SimulationDiverged(f"{what} non-finite at t = {j * cfg.h:g}", j * cfg.h, record(j))
 
-    fused = getattr(c.spec, "fused_terms", None)
-    gain, cap = (None, None) if fused is None else fused()
-    tbg = c.spec.tbg_columns(cfg.s0, h, n) if fused and tbg is None else tbg
-    relay = fused is not None and tbg is None
+    law = getattr(c.spec, "law", None)  # a class-Kinf relay, as `sweep` tells one
+    gain, cap = (None, None) if law is None else (law.gain, c.spec.cap)
+    tbg = c.spec.tbg_columns(cfg.s0, h, n) if law is not None and tbg is None else tbg
+    relay = law is not None and tbg is None
     s, k = cfg.s0, 0
     try:
-        if fused is None:  # the reference path: the descriptor's own control
+        if law is None:  # the reference path: the descriptor's own control
             control, state = c.spec.control, c.state
             for k, dk in zip(range(m), column):
                 u = control(state, k * h, s, h)
-                ua = u if u_max is None else min(u_max, max(-u_max, u))
+                ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, state.gain
                 s = s + h * (ua + dk)  # past the last sample the new state is unused
         elif relay:  # -g*sign(s), its sign(0) = 0 kept as a signed product
@@ -362,15 +370,16 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
                 g = g if g < cap else cap
                 u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
                 s_rec[k], u_cmd[k] = s, u  # the gain is |u|, taken by record
-                s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
+                ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
+                s = s + h * (ua + dk)
         else:  # TBG: the relay on e = s - z, shifted by the feedforward w
             for k, dk, z, w in zip(range(m), column, *tbg):
                 e = s - z
-                g = gain(abs(e))
-                g = g if g < cap else cap
+                g = gain(abs(e))  # uncapped: a TBG's cap is inf
                 u = w - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
                 s_rec[k], u_cmd[k], g_rec[k] = s, u, g
-                s = s + h * ((u if u_max is None else min(u_max, max(-u_max, u))) + dk)
+                ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
+                s = s + h * (ua + dk)
     except Exception as exc:  # a divergence up to step k's state comes first
         err = diverged(k, s)
         if err is not None:

@@ -119,7 +119,7 @@ def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
     assert proc.stderr.startswith("simulation error: ")
 
 
-@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b"])
+@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b", "a,b"])
 def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
     p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
     out = tmp_path / "run" / "out"
@@ -128,8 +128,8 @@ def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"configuration error: [{name}] cannot name an output file: "
-                                "no path separator, NUL, '.', '..', 'summary' or 'fig_' "
-                                "prefix\n")
+                                "no path separator, NUL, comma, '.', '..', 'summary' or "
+                                "'fig_' prefix\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
 
 
@@ -564,6 +564,18 @@ def run_small(tmp_path, text=SMALL):
     out = tmp_path / "out"
     assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) == cli.EXIT_OK
     return out
+
+
+def test_plot_trajectory_file_with_a_comma_in_its_name_exits_2(tmp_path, capsys):
+    # the stem would name a column of the figure's header, splitting it in two
+    out = run_small(tmp_path)
+    bad = out / "x,y.csv"
+    bad.write_text((out / "still.csv").read_text())
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {bad}: "
+                                       "a comma in the file name would split its column\n")
+    assert not (out / "fig_sliding.csv").exists()
 
 
 @pytest.mark.parametrize("mangle, where", [

@@ -1,5 +1,6 @@
 import math
 from array import array
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -98,6 +99,14 @@ class TestKInfty:
     def test_rejects_legacy_law(self):
         with pytest.raises(ValueError):
             KInfty(PsbParams(0.1, 2.0))
+
+
+def test_the_cap_is_no_field():
+    # so configs, equality and `replace` see only the law and k_max
+    assert [f.name for f in fields(SaturatedKInfty)] == ["law", "k_max"]
+    assert [f.name for f in fields(TbgIntegral)] == ["law", "tbg"]
+    assert SaturatedKInfty(CV, 2.0).cap == 2.0
+    assert KInfty(CV).cap == TbgIntegral(CV, TBG).cap == math.inf
 
 
 class TestSaturatedKInfty:

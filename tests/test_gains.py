@@ -12,7 +12,6 @@ from barriersmc.gains import (
     UltimateBound,
     UnsupportedVariantError,
     eval_gain,
-    saturate_gain,
     ultimate_bound,
 )
 
@@ -124,17 +123,6 @@ class TestPsb:
         above = math.nextafter(eps, math.inf)
         assert self.P.gain(below) > 0
         assert self.P.gain(above) < 0
-
-
-class TestSaturateGain:
-    def test_above(self):
-        assert saturate_gain(7.0, 5.0) == 5.0
-
-    def test_below(self):
-        assert saturate_gain(3.0, 5.0) == 3.0
-
-    def test_at_cap(self):
-        assert saturate_gain(5.0, 5.0) == 5.0
 
 
 class TestUltimateBound:

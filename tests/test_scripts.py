@@ -1,0 +1,84 @@
+"""The tooling scripts that the performance and code-size measures rest on:
+`scripts/loc.py` counts code lines, `scripts/bench.py` records benchmark
+runs. The benchmark itself is replaced by a stub."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+loc, bench = load("loc"), load("bench")
+
+MODULE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+x = 1  # a trailing comment
+
+
+def f(
+    y,
+):
+    """A docstring."""
+    return (y +
+            1)
+'''
+
+
+def test_loc_counts_the_code_lines_of_each_module(tmp_path, capsys):
+    # a.py: x = 1 (1 line), the def over 3 lines, the return over 2
+    (tmp_path / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text('\n# only a comment\n"""and a docstring"""\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert loc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "    6 a.py\n    0 b.py\n    6 total\n"
+
+
+STUB = '''import json, sys
+for name in ("replay", "sweep"):
+    print(json.dumps({"info": {"workload": name, "argv": sys.argv[1:]}}))
+    print(json.dumps({"op_ms_p50": len(name)}))
+sys.exit(CODE)
+'''
+
+
+def checkout(tmp_path, code):
+    """A directory whose benchmark/run.py prints two info/result pairs,
+    then exits with `code`."""
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "benchmark" / "run.py").write_text(STUB.replace("CODE", str(code)))
+    return tmp_path
+
+
+def bench_main(tmp_path, out, code):
+    return bench.main(["--out", str(out), "--label", "change",
+                       "--checkout", str(checkout(tmp_path, code)),
+                       "--", "--workload", "all", "--seconds", "1"])
+
+
+def test_bench_appends_one_record_per_workload(tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    out.write_text('[{"label": "parent"}]\n')
+    assert bench_main(tmp_path, out, 0) == 0
+    args = ["--workload", "all", "--seconds", "1"]
+    assert json.loads(out.read_text()) == [{"label": "parent"}] + [
+        {"label": "change", "args": args, "info": {"workload": name, "argv": args},
+         "result": {"op_ms_p50": len(name)}}
+        for name in ("replay", "sweep")]
+    assert capsys.readouterr().out.count('{"info": ') == 2  # the output is echoed
+
+
+def test_bench_failure_appends_nothing_and_returns_its_code(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text('[{"label": "parent"}]\n')
+    assert bench_main(tmp_path, out, 3) == 3
+    assert out.read_text() == '[{"label": "parent"}]\n'

@@ -88,6 +88,12 @@ class TestDisturbances:
         with pytest.raises(ValueError, match="finite|increasing"):
             CustomTable(times, values)
 
+    @pytest.mark.parametrize("args", [(1.0, math.inf), (math.nan, 1.0), (1.0, 1.0, -math.inf)])
+    def test_sinusoid_rejects_non_finite_parameters(self, args):
+        # a bad input, not a divergence of the run it would drive
+        with pytest.raises(ValueError, match="finite"):
+            Sinusoid(*args)
+
     def test_d_bar_positive(self):
         with pytest.raises(ValueError):
             DisturbanceSpec(Sinusoid(2.0, 1.0), 0.0)
@@ -455,6 +461,18 @@ class PoleAfterOverflow(FixedSign):
 def test_simulate_matches_reference_on_edge_cases(spec, d, cfg, error):
     got = assert_matches_reference(spec, d, cfg)
     assert (got[0] if error else None) is error
+
+
+class QuarterCapped(KInfty):
+    """A capped relay given by its law and its cap alone."""
+
+    cap = 0.25
+
+
+def test_a_relay_variant_is_its_law_and_its_cap():
+    # the relay loop reads the cap that the descriptor's own control reads
+    got = assert_matches_reference(QuarterCapped(CV), VII, SimConfig(1.0, 1e-3, 1.0))
+    assert np.frombuffer(got[COLUMNS.index("gain")]).max() == 0.25
 
 
 def test_a_later_pole_does_not_hide_the_state_divergence():
