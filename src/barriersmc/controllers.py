@@ -3,10 +3,10 @@
 Controller descriptors are frozen dataclasses (safe to embed in configs),
 and each carries its own law as `control(state, t, s, h)`. A `Controller`
 wraps one descriptor with the per-simulation mutable state (adaptive gain
-integrator, phase flag, auxiliary state) and delegates every sample to the
-descriptor's `control`, so no step dispatches over variants. Adaptive
-state is advanced by explicit Euler at the sample step, matching the plant
-loop. A new variant is a descriptor class with its `control`, added to
+integrator, barrier switch time, auxiliary state) and delegates every
+sample to the descriptor's `control`, so no step dispatches over variants.
+Adaptive state is advanced by explicit Euler at the sample step, matching
+the plant loop. A new variant is a descriptor class with its `control`, added to
 `ControllerSpec` and to the config schema in `experiment`. The
 descriptors built on a class-Kinf law (a `law` field) share one relay
 u = -min(K(|s|), cap) sign(s): each is its `law` and its `cap` on the
@@ -137,10 +137,9 @@ class ObeidTwoPhase:
 
     def control(self, st: ControllerState, t: float, s: float, h: float) -> float:
         p = self.params
-        if st.phase == REACHING and abs(s) <= 0.5 * p.epsilon:
-            st.phase = BARRIER
+        if st.t_bar is None and abs(s) <= 0.5 * p.epsilon:
             st.t_bar = t
-        if st.phase == REACHING:
+        if st.t_bar is None:  # still reaching
             g = st.k_a
             st.k_a += h * p.k_bar * abs(s)
         else:
@@ -228,9 +227,6 @@ class FixedSign:
 
 ControllerSpec = KInfty | SaturatedKInfty | ObeidTwoPhase | TbgIntegral | FixedSign
 
-REACHING = "reaching"
-BARRIER = "barrier"
-
 
 @dataclass
 class ControllerState:
@@ -238,9 +234,8 @@ class ControllerState:
     their initial values."""
 
     k_a: float = 0.0
-    phase: str = REACHING
     z: Optional[float] = None
-    t_bar: Optional[float] = None
+    t_bar: Optional[float] = None  # when ObeidTwoPhase switched to its barrier
     gain: float = 0.0  # commanded gain at the last sample, for recording
 
 

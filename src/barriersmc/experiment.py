@@ -13,9 +13,12 @@ before any section, and a duplicate section or key; so is a file that
 does not decode as text. The schema is strict too: unknown keys and
 missing required keys are rejected with the section and field named, so a
 typo fails loudly instead of silently simulating the wrong controller.
-Numeric fields are plain floats (scientific notation accepted); booleans
-are true/false. One schema table, below, drives both `loads_config` and
-`dumps_config`.
+Numeric fields are plain finite floats (scientific notation accepted);
+booleans are true/false. One schema table, below, drives both
+`loads_config` and `dumps_config`. Each value goes through one converter,
+`_number`, `_numbers` (a comma-separated list) or `_truth`, and `_Key`
+turns a converter's ValueError into `[section] key 'name': <message>`, so
+a new value type is one converter.
 
 Section keys
 ------------
@@ -246,66 +249,56 @@ def _serve_share(fn, share: list, w: int) -> None:
 
 # --- config schema ---------------------------------------------------------
 
-class _Section:
-    """The keys of one config section that are not read yet."""
+def _number(raw: str) -> float:
+    """A finite float, in any form `float` accepts."""
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return v
 
-    def __init__(self, name: str, items: Dict[str, str]):
-        self.name = name
-        self.items = items  # consumed: each key read is popped
 
-    def take(self, key: str) -> str:
-        try:
-            return self.items.pop(key)
-        except KeyError:
-            raise ConfigError(f"[{self.name}] missing required key '{key}'") from None
+def _numbers(raw: str) -> Tuple[float, ...]:
+    """Comma-separated finite floats; an error names the first bad entry."""
+    parts = raw.split(",")
+    try:  # float() ignores the blanks around each entry
+        values = tuple(map(float, parts))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return tuple(_number(part.strip()) for part in parts)  # names the bad entry
 
-    def take_float(self, key: str) -> float:
-        return self._float(key, self.take(key))
 
-    def take_opt_float(self, key: str) -> Optional[float]:
-        raw = self.items.pop(key, None)
-        return None if raw is None else self._float(key, raw)
-
-    def take_opt_bool(self, key: str) -> Optional[bool]:
-        raw = self.items.pop(key, None)
-        if raw is None:
-            return None
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        raise ConfigError(f"[{self.name}] key '{key}': expected true/false, got {raw!r}")
-
-    def _float(self, key: str, raw: str) -> float:
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] key '{key}': not a number: {raw!r}"
-            ) from None
-        if not math.isfinite(v):
-            raise ConfigError(f"[{self.name}] key '{key}': must be finite, got {raw!r}")
-        return v
-
-    def take_float_list(self, key: str) -> Tuple[float, ...]:
-        parts = self.take(key).split(",")
-        try:  # float() ignores the blanks around each entry
-            values = tuple(map(float, parts))
-            if all(map(math.isfinite, values)):
-                return values
-        except ValueError:
-            pass
-        return tuple(self._float(key, part.strip()) for part in parts)  # names the bad entry
+def _truth(raw: str) -> bool:
+    """true or false, in any letter case."""
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    raise ValueError(f"expected true/false, got {raw!r}")
 
 
 class _Key:
-    """One config key: the `_Section` method that reads it and the function
-    that writes its value back. A None value (an absent optional key) is not
-    written."""
+    """One config key: the converter that reads its text, which raises
+    ValueError with the tail of the message, and the function that writes
+    its value back. `parse(sec, items)` pops the key from the items of
+    section `sec` and builds every per-key ConfigError. An absent optional
+    key reads as None, and a None value is not written."""
 
-    def __init__(self, name, read=_Section.take_float, write=repr):
-        self.name, self.read, self.write = name, read, write
+    def __init__(self, name, read=_number, write=repr, optional=False):
+        self.name, self.read, self.write, self.optional = name, read, write, optional
 
-    def parse(self, sec: _Section):
-        return self.read(sec, self.name)
+    def parse(self, sec: str, items: Dict[str, str]):
+        raw = items.pop(self.name, None)
+        if raw is None:
+            if self.optional:
+                return None
+            raise ConfigError(f"[{sec}] missing required key '{self.name}'")
+        try:
+            return self.read(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{sec}] key '{self.name}': {exc}") from None
 
     def dump(self, value, out: List[str]) -> None:
         if value is not None:
@@ -314,20 +307,20 @@ class _Key:
 
 class _Record:
     """A dataclass and one schema node per field, in field order. A node is
-    anything with `parse` and `dump`; a plain string stands for a `_Key`
-    holding one float."""
+    anything with `parse(sec, items)` and `dump`; a plain string stands for
+    a required `_Key` holding one float."""
 
     def __init__(self, cls, *keys):
         self.cls = cls
         keys = [_Key(k) if isinstance(k, str) else k for k in keys]
         self.keys = tuple(zip(keys, (f.name for f in fields(cls)), strict=True))
 
-    def parse(self, sec: _Section):
-        values = [key.parse(sec) for key, _ in self.keys]
+    def parse(self, sec: str, items: Dict[str, str]):
+        values = [key.parse(sec, items) for key, _ in self.keys]
         try:
             return self.cls(*values)
         except ValueError as exc:
-            raise ConfigError(f"[{sec.name}] invalid {self.cls.__name__}: {exc}") from exc
+            raise ConfigError(f"[{sec}] invalid {self.cls.__name__}: {exc}") from exc
 
     def dump(self, obj, out: List[str]) -> None:
         for key, name in self.keys:
@@ -339,19 +332,19 @@ class _Family:
     plus aliases, config names that stand for one fixed value."""
 
     def __init__(self, key: str, variants: Dict[str, _Record], aliases=None):
-        self.key = key
+        self.key, self.selector = key, _Key(key, str)
         self.variants = variants
         self.aliases = aliases or {}
         self.by_class = {rec.cls: (f"{key} = {name}\n", rec) for name, rec in variants.items()}
 
-    def parse(self, sec: _Section):
-        name = sec.take(self.key)
+    def parse(self, sec: str, items: Dict[str, str]):
+        name = self.selector.parse(sec, items)
         if name in self.aliases:
             return self.aliases[name]
         if name not in self.variants:
-            raise ConfigError(f"[{sec.name}] unknown {self.key} '{name}' (expected one "
+            raise ConfigError(f"[{sec}] unknown {self.key} '{name}' (expected one "
                               f"of {sorted([*self.variants, *self.aliases])})")
-        return self.variants[name].parse(sec)
+        return self.variants[name].parse(sec, items)
 
     def dump(self, obj, out: List[str]) -> None:
         line, rec = self.by_class[type(obj)]
@@ -362,14 +355,13 @@ class _Family:
 class _Window:
     """The optional chattering window: two keys, both or neither."""
 
-    keys = (_Key("chatter_t0", _Section.take_opt_float),
-            _Key("chatter_t1", _Section.take_opt_float))
+    keys = (_Key("chatter_t0", optional=True), _Key("chatter_t1", optional=True))
 
-    def parse(self, sec: _Section) -> Optional[Tuple[float, float]]:
-        window = tuple(key.parse(sec) for key in self.keys)
+    def parse(self, sec: str, items: Dict[str, str]) -> Optional[Tuple[float, float]]:
+        window = tuple(key.parse(sec, items) for key in self.keys)
         if window.count(None) == 1:
             t0, t1 = self.keys
-            raise ConfigError(f"[{sec.name}] {t0.name} and {t1.name} must appear together")
+            raise ConfigError(f"[{sec}] {t0.name} and {t1.name} must appear together")
         return None if window[0] is None else window
 
     def dump(self, window, out: List[str]) -> None:
@@ -377,11 +369,11 @@ class _Window:
             key.dump(t, out)
 
 
-class _SectionName:
+class _Header:
     """ExperimentSpec.name: the section header, not a key."""
 
-    def parse(self, sec: _Section) -> str:
-        return sec.name
+    def parse(self, sec: str, items: Dict[str, str]) -> str:
+        return sec
 
     def dump(self, name: str, out: List[str]) -> None:
         out.append(f"[{name}]\n")
@@ -389,10 +381,10 @@ class _SectionName:
 
 _LAW = _Family("law", {name: _Record(cls, "rho", "lam") for name, cls in
                        (("concave", ConcaveParams), ("convex", ConvexParams))})
-_FLOAT_LIST = (_Section.take_float_list, lambda values: ", ".join(map(repr, values)))
+_FLOAT_LIST = (_numbers, lambda values: ", ".join(map(repr, values)))
 _SPEC = _Record(
     ExperimentSpec,
-    _SectionName(),
+    _Header(),
     _Family("controller", {
         "kinfty": _Record(KInfty, _LAW),
         "saturated": _Record(SaturatedKInfty, _LAW, "k_max"),
@@ -406,13 +398,13 @@ _SPEC = _Record(
         "custom": _Record(CustomTable, _Key("table_t", *_FLOAT_LIST),
                           _Key("table_d", *_FLOAT_LIST)),
     }, aliases={"sin_two": Sinusoid(2.0, 1.0, 0.0)}), "d_bar"),
-    _Record(SimConfig, "s0", "h", "t_end", _Key("u_max", _Section.take_opt_float)),
-    _Key("sigma_target", _Section.take_opt_float),
+    _Record(SimConfig, "s0", "h", "t_end", _Key("u_max", optional=True)),
+    _Key("sigma_target", optional=True),
     _Window(),
     _Record(Expectations, *(
-        [_Key(k, _Section.take_opt_float) for k in (
+        [_Key(k, optional=True) for k in (
             "expect_t_conv_max", "expect_sigma_max", "expect_gain_max_post")]
-        + [_Key(k, _Section.take_opt_bool, lambda v: "true" if v else "false")
+        + [_Key(k, _truth, lambda v: "true" if v else "false", optional=True)
            for k in ("expect_final_inside", "expect_escapes_all_reenter",
                      "expect_no_reentry_after_last_escape")])),
 )
@@ -421,10 +413,9 @@ _SPEC = _Record(
 # --- config reading and writing --------------------------------------------
 
 def _parse_section(name: str, items: Dict[str, str]) -> ExperimentSpec:
-    sec = _Section(name, items)
-    spec = _SPEC.parse(sec)
-    if sec.items:
-        raise ConfigError(f"[{name}] unknown keys: {', '.join(sorted(sec.items))}")
+    spec = _SPEC.parse(name, items)  # pops every key it reads
+    if items:
+        raise ConfigError(f"[{name}] unknown keys: {', '.join(sorted(items))}")
     return spec
 
 
@@ -687,10 +678,14 @@ def summary_csv(summary: BatchSummary) -> str:
 
 
 def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
-    """Run every spec, write per-experiment trajectory CSVs plus one
-    summary.csv, and return the summary. Rerunning a batch overwrites the
-    outputs with identical content. A name `check_output_names` rejects is
-    a ConfigError raised before anything is written."""
+    """Run every spec, write one summary.csv and, for each experiment that
+    recorded a sample, `<name>.csv` with its trajectory, and return the
+    summary. An experiment that recorded none (no trajectory, or a
+    divergence at its first sample) has any earlier `<name>.csv` deleted,
+    so no file of the directory passes for its output. Rerunning a batch
+    overwrites the outputs with identical content. A name
+    `check_output_names` rejects is a ConfigError raised before anything is
+    written."""
     _check_unique_names(specs)
     check_output_names(specs)
     out_dir = Path(out_dir)
@@ -698,8 +693,11 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     steps = sum(n_steps(s.sim) + 1 for s in specs)
     results = _fork_map(run_experiment, specs, steps // _RUN_STEPS_PER_SAMPLE)
     for r in results:
-        if r.trajectory is not None:
-            write_trajectory_csv(r.trajectory, out_dir / f"{r.spec.name}.csv")
+        path = out_dir / f"{r.spec.name}.csv"
+        if r.trajectory is not None and len(r.trajectory):
+            write_trajectory_csv(r.trajectory, path)
+        else:
+            path.unlink(missing_ok=True)
     summary = BatchSummary(tuple(results))
     (out_dir / "summary.csv").write_text(summary_csv(summary))
     return summary

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barriersmc import analysis, cli
 from barriersmc.experiment import FIGURE_SIGNALS, read_trajectory_csv
@@ -96,6 +96,22 @@ def test_run_divergence(tmp_path, capsys):
     code = cli.main(["run", str(p), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_DIVERGED
     assert "error" in capsys.readouterr().out
+
+
+def test_rerun_without_a_trajectory_leaves_no_stale_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write(tmp_path, QUICK, "s1.cfg")), "--out", str(out)]) \
+        == cli.EXIT_OK
+    assert (out / "still.csv").is_file()
+    # the same experiment, now with a disturbance over its declared bound
+    over = QUICK.replace("amplitude = 0.0", "amplitude = 1.0")
+    assert cli.main(["run", str(write(tmp_path, over, "s2.cfg")), "--out", str(out)]) \
+        == cli.EXIT_DIVERGED
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding",
+                     "--out", str(tmp_path / "f.csv")]) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_divergence_exits_3_without_traceback(capsys):
@@ -237,6 +253,9 @@ def write_fuzzed(tmp, section, tuning, s0, t_end, keep_expectations):
 
 @settings(deadline=None, max_examples=100)
 @given(**FUZZED_RUNS)
+# the convex gain overflows at |s| = 1e300: the run diverges at its first sample
+@example(section=_sections(SEC7)[1], tuning=[5.0, 0.05], s0=1e300, t_end="0.05",
+         keep_expectations=False)
 def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
                               keep_expectations):
     tmp = tmp_path_factory.mktemp("fuzz")
@@ -248,6 +267,9 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_EXPECTATION:
         assert any(k.startswith("expect_") for k in items)
+    for path in (tmp / "out").glob("*.csv"):  # every trajectory CSV reads back
+        if path.name != "summary.csv":
+            read_trajectory_csv(path)
 
 
 @settings(deadline=None, max_examples=100)

@@ -150,6 +150,52 @@ ALL_VARIANT_SPECS = [
 ]
 
 
+PINNED = ("[x]\ncontroller = kinfty\nlaw = convex\nrho = 5.0\nlam = 0.05\n"
+          "disturbance = custom\ntable_t = 0.0, 1.0\ntable_d = 0.0, 0.1\nd_bar = 0.2\n"
+          "s0 = 1.0\nh = 0.001\nt_end = 1.0\n")
+
+
+# case: (a text of PINNED, what replaces it, the whole ConfigError message)
+CONFIG_MESSAGES = {
+    "missing_required": ("d_bar = 0.2\n", "", "[x] missing required key 'd_bar'"),
+    "missing_selector": ("controller = kinfty\n", "",
+                         "[x] missing required key 'controller'"),
+    "empty_required": ("h = 0.001", "h = ", "[x] key 'h': not a number: ''"),
+    # an empty optional value is not an absent key
+    "empty_optional": ("t_end = 1.0\n", "t_end = 1.0\nu_max = \n",
+                       "[x] key 'u_max': not a number: ''"),
+    "not_a_number": ("rho = 5.0", "rho = banana", "[x] key 'rho': not a number: 'banana'"),
+    "inf": ("s0 = 1.0", "s0 = inf", "[x] key 's0': must be finite, got 'inf'"),
+    "nan": ("lam = 0.05", "lam = nan", "[x] key 'lam': must be finite, got 'nan'"),
+    "bad_bool": ("t_end = 1.0\n",
+                 "t_end = 1.0\nsigma_target = 0.1\nexpect_final_inside = yes\n",
+                 "[x] key 'expect_final_inside': expected true/false, got 'yes'"),
+    "bad_list_entry": ("table_t = 0.0, 1.0", "table_t = 0.0, one",
+                       "[x] key 'table_t': not a number: 'one'"),
+    "non_finite_list_entry": ("table_d = 0.0, 0.1", "table_d = 0.0 , 1e999",
+                              "[x] key 'table_d': must be finite, got '1e999'"),
+    "unknown_controller": ("controller = kinfty", "controller = warp",
+                           "[x] unknown controller 'warp' (expected one of "
+                           "['fixed_sign', 'kinfty', 'obeid', 'saturated', 'tbg'])"),
+    "unknown_law": ("law = convex", "law = linear",
+                    "[x] unknown law 'linear' (expected one of ['concave', 'convex'])"),
+    "unknown_disturbance": ("disturbance = custom", "disturbance = noise",
+                            "[x] unknown disturbance 'noise' (expected one of "
+                            "['custom', 'piecewise_vii', 'sin_two', 'sinusoid'])"),
+    "unknown_keys": ("t_end = 1.0\n", "t_end = 1.0\nzeta = 1\nrho_typo = 3\n",
+                     "[x] unknown keys: rho_typo, zeta"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_MESSAGES)
+def test_config_reader_message(case):
+    old, new, message = CONFIG_MESSAGES[case]
+    assert PINNED.count(old) == 1
+    with pytest.raises(ConfigError) as info:
+        loads_config(PINNED.replace(old, new))
+    assert str(info.value) == message
+
+
 class TestConfigRoundTrip:
     def test_all_variants_round_trip_exactly(self):
         text = dumps_config(ALL_VARIANT_SPECS)
@@ -318,6 +364,13 @@ class TestRunBatch:
             rep = analysis.convergence_time(traj, spec.sigma_target)
             assert rep.t_conv == (res.report.t_conv if res.report else None)
             assert rep.sigma_measured == pytest.approx(res.report.sigma_measured)
+
+    def test_a_divergence_at_the_first_sample_writes_no_csv(self, tmp_path):
+        # the convex gain overflows at |s0| = 1: u is non-finite at t = 0
+        spec = quick_spec("x", KInfty(ConvexParams(1e300, 1e-300)))
+        summary = run_batch([spec], tmp_path)
+        assert summary.results[0].error == "control non-finite at t = 0"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
     def test_zero_gain_zero_disturbance_constant_column(self, tmp_path):
         out = tmp_path / "out"

@@ -1,12 +1,15 @@
-"""The tooling scripts that the performance and code-size measures rest on:
-`scripts/loc.py` counts code lines, `scripts/bench.py` records benchmark
-runs. The benchmark itself is replaced by a stub."""
+"""The tooling scripts that the performance, code-size and test-strength
+measures rest on: `scripts/loc.py` counts code lines, `scripts/bench.py`
+records benchmark runs (the benchmark itself is replaced by a stub), and
+`scripts/mutants.py` holds the mutant kill list, which is checked here for
+staleness only: its mutants are not run."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
 
 
 def load(name):
@@ -16,7 +19,7 @@ def load(name):
     return module
 
 
-loc, bench = load("loc"), load("bench")
+loc, bench, mutants = load("loc"), load("bench"), load("mutants")
 
 MODULE = '''"""Module docstring,
 over two lines."""
@@ -82,3 +85,14 @@ def test_bench_failure_appends_nothing_and_returns_its_code(tmp_path):
     out.write_text('[{"label": "parent"}]\n')
     assert bench_main(tmp_path, out, 3) == 3
     assert out.read_text() == '[{"label": "parent"}]\n'
+
+
+def test_every_mutant_still_applies_and_names_existing_tests():
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert mutants.occurrences(m) == 1, f"{m.name}: its old text must occur exactly once"
+        assert m.expect in ("killed", "equivalent") and m.tests, m.name
+        for node in m.tests:  # file::[Class::]function[params]
+            path, *scope = node.split("[")[0].split("::")
+            assert f"def {scope[-1]}(" in (REPO / path).read_text(), f"{m.name}: {node}"
