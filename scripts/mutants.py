@@ -9,12 +9,15 @@ whose `old` text does not occur exactly once in its file is stale: a change
 that rewrites such a text updates its row in the same commit
 (`tests/test_scripts.py` checks this on every test run).
 
-Prints one line per row, `<outcome> <name> (expected <expect>)`, where the
-outcome is killed, survived, stale or error (the tests could not run, or
-ran past TIMEOUT_S), and exits 0 when every killed row was killed and every
-equivalent survived.
+A row whose named tests pytest cannot find (a renamed test or
+parametrize id) is stale as well.
 
-Usage: python3 scripts/mutants.py [NAME ...]   (default: every row)
+Prints one line per row, `<outcome> <name> (expected <expect>)`, where the
+outcome is killed, survived, stale or error (pytest failed to collect or
+hit an internal error, or ran past TIMEOUT_S), and exits 0 when every
+killed row was killed and every equivalent survived.
+
+Usage: python3 scripts/mutants.py   (runs every row)
 """
 
 import os
@@ -154,22 +157,18 @@ def outcome(m: Mutant) -> str:
                                   **quiet).returncode
         except subprocess.TimeoutExpired:
             return "error"
-    return {0: "survived", 1: "killed"}.get(code, "error")  # else: no test ran
+    # pytest exits 2 (interrupted, e.g. a collection error), 3 (internal
+    # error), 4 (usage error: a node id not found) or 5 (no tests collected)
+    return {0: "survived", 1: "killed", 4: "stale", 5: "stale"}.get(code, "error")
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    rows = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in rows}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     wrong = 0
-    for m in rows:
+    for m in MUTANTS:
         got = outcome(m)
         wrong += got != {"killed": "killed", "equivalent": "survived"}[m.expect]
         print(f"{got:8} {m.name} (expected {m.expect})", flush=True)
-    print(f"{len(rows) - wrong} of {len(rows)} mutants as expected")
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} mutants as expected")
     return 1 if wrong else 0
 
 
