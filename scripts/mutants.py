@@ -126,6 +126,24 @@ MUTANTS = (
            ("tests/test_experiment.py::TestRunBatch::"
             "test_a_divergence_at_the_first_sample_writes_no_csv",
             "tests/test_cli.py::test_run_never_tracebacks")),
+    Mutant("duplicate_config_key_kept", "src/barriersmc/experiment.py",
+           "            elif key in items:\n", "            elif False:\n",
+           ("tests/test_experiment.py::TestReadIni::"
+            "test_rejected_form_names_source_and_line[duplicate_key]",)),
+    Mutant("bad_csv_line_counted_from_the_first_row", "src/barriersmc/experiment.py",
+           "enumerate(lines[1:], start=2)", "enumerate(lines[1:], start=1)",
+           tuple(f"tests/test_cli.py::test_plot_malformed_trajectory_exits_2[{case}]"
+                 for case in ("non_number", "short_row"))),
+    # --- what `plot` looks up instead of parsing: the trajectories `run` wrote
+    Mutant("record_shares_the_result_columns", "src/barriersmc/experiment.py",
+           "getattr(r.trajectory, c).copy() for c in", "getattr(r.trajectory, c) for c in",
+           ("tests/test_cli.py::test_writing_into_a_run_result_does_not_change_the_figure",)),
+    Mutant("record_keyed_by_file_path", "src/barriersmc/experiment.py",
+           "_WRITTEN[write_trajectory_csv(r.trajectory, path)] = Trajectory(*kept)",
+           "_WRITTEN[path] = Trajectory(*kept)\n"
+           "            write_trajectory_csv(r.trajectory, path)",
+           ("tests/test_cli.py::test_a_byte_copy_of_a_written_trajectory_is_looked_up",
+            "tests/test_cli.py::test_run_never_tracebacks")),
 )
 
 

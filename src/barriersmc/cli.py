@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="write ranked table CSV here")
 
     p_plot = sub.add_parser("plot", help="emit columnar plot data")
-    p_plot.add_argument("dir", help="directory of trajectory CSVs")
+    p_plot.add_argument("dir", help="a run's output directory, or one of trajectory CSVs")
     p_plot.add_argument("--figure", required=True,
                         choices=sorted(experiment.FIGURE_SIGNALS))
     p_plot.add_argument("--out", default=None,
@@ -118,8 +118,14 @@ def _cmd_plot(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {directory}")
-    files = [f for f in directory.glob("*.csv") if f.name != "summary.csv"
-             and not f.name.startswith("fig_")]
+    summary = directory / "summary.csv"
+    if summary.is_file():  # the last run's experiments: the first field of each row
+        with open(summary, newline="") as text:  # newline="": a name may hold a "\r"
+            names = [row.split(",", 1)[0] for row in text.read().split("\n")[1:] if row]
+        files = [f for f in (directory / f"{n}.csv" for n in names) if f.is_file()]
+    else:
+        files = [f for f in directory.glob("*.csv") if f.name != "summary.csv"
+                 and not f.name.startswith("fig_")]
     out = Path(args.out) if args.out else directory / f"fig_{args.figure}.csv"
     experiment.emit_plot_data(files, args.figure, out)
     print(f"wrote {out}")

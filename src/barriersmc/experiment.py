@@ -54,8 +54,8 @@ Four loops run through `_fork_map`, which splits its items into one
 contiguous share per CPU in the process's affinity mask, computes the
 first share itself and each other one in a forked child that pickles its
 results back: `run_batch` over its experiments, `_write_columns` over
-blocks of rows, `emit_plot_data` over its trajectory files and `sweep`
-over its grid points. None of them runs inside another. A share under
+blocks of rows, `emit_plot_data` over the trajectory files it parses and
+`sweep` over its grid points. None of them runs inside another. A share under
 _FORK_MIN_SAMPLES samples (rows, or a call site's Euler steps per sample)
 stays in this process, and so does everything on a platform without
 `os.fork`. The results, and so every output byte, are those of the serial
@@ -73,6 +73,16 @@ a row of another field count or a field that is not a number, in any
 column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
+
+`write_trajectory_csv` returns the sha256 of the bytes it wrote, and
+`run_batch` records, in the module's `_WRITTEN`, each digest with a bare
+trajectory of private, read-only copies of the columns it formatted.
+Each batch clears the record before it writes, so it holds at most one
+batch. `emit_plot_data` looks up the sha256 of each file it is given
+there and parses only the misses: a file edited since, or one that cannot
+be read, is parsed and fails as before. A hit gives what the parse would,
+bit for bit, since `%.17g` round-trips every double. While the record is
+empty, as in a fresh `barriersmc plot` process, no file is hashed.
 """
 
 from __future__ import annotations
@@ -131,6 +141,10 @@ _RUN_STEPS_PER_SAMPLE = 3
 _WRITE_CHUNK_ROWS = 1000  # `_write_columns` formats rows in parts this long
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
+
+# sha256 of a trajectory CSV that the last `run_batch` of this process wrote
+# -> a bare trajectory of read-only copies of the columns it was formatted from
+_WRITTEN: Dict[bytes, Trajectory] = {}
 
 
 class ConfigError(ValueError):
@@ -503,8 +517,10 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
 
 # --- trajectory CSV --------------------------------------------------------
 
-def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
-    """Write equal-length float columns as CSV, every value as FLOAT_FMT."""
+def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> bytes:
+    """Write equal-length float columns as CSV, every value as FLOAT_FMT,
+    one formatted part at a time, and return the sha256 of the bytes written."""
+    import hashlib  # here: importing the package does not pay for it
     row = ",".join([FLOAT_FMT] * len(cols)) + "\n"
 
     def rows(lo: int) -> str:
@@ -512,11 +528,18 @@ def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> N
         return "".join(map(row.__mod__, zip(*part)))
 
     parts = _fork_map(rows, range(0, len(cols[0]), _WRITE_CHUNK_ROWS), len(cols[0]))
-    Path(path).write_text(",".join(header) + "\n" + "".join(parts))
+    digest = hashlib.sha256()
+    with open(path, "w") as out:  # text mode on POSIX writes each "\n" as it is
+        for part in [",".join(header) + "\n", *parts]:
+            out.write(part)
+            digest.update(part.encode(out.encoding))
+    return digest.digest()
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    _write_columns(path, TRAJECTORY_COLUMNS, [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
+def write_trajectory_csv(traj: Trajectory, path) -> bytes:
+    """Write the trajectory CSV; returns the sha256 of its bytes."""
+    return _write_columns(path, TRAJECTORY_COLUMNS,
+                          [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
 
 
 def _first_bad_line(lines: List[str], width: int) -> str:
@@ -692,10 +715,14 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     steps = sum(n_steps(s.sim) + 1 for s in specs)
     results = _fork_map(run_experiment, specs, steps // _RUN_STEPS_PER_SAMPLE)
+    _WRITTEN.clear()
     for r in results:
         path = out_dir / f"{r.spec.name}.csv"
         if r.trajectory is not None and len(r.trajectory):
-            write_trajectory_csv(r.trajectory, path)
+            kept = [getattr(r.trajectory, c).copy() for c in TRAJECTORY_COLUMNS]
+            for col in kept:  # private and read-only: the caller owns r.trajectory
+                col.flags.writeable = False
+            _WRITTEN[write_trajectory_csv(r.trajectory, path)] = Trajectory(*kept)
         else:
             path.unlink(missing_ok=True)
     summary = BatchSummary(tuple(results))
@@ -797,9 +824,19 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     for f in files:  # the stem names the file's columns in the header
         if "," in f.stem:
             raise ConfigError(f"{f}: a comma in the file name would split its column")
+    known = {}  # file -> the trajectory `run_batch` formatted into exactly its bytes
+    if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
+        import hashlib
+        for f in files:
+            try:
+                known[f] = _WRITTEN[hashlib.sha256(f.read_bytes()).digest()]
+            except (OSError, KeyError):  # parsed below, which raises in file order
+                pass
+    misses = [f for f in files if f not in known]
     # a trajectory CSV row takes ~120 bytes: the file sizes estimate the rows
-    rows = sum(f.stat().st_size for f in files if f.is_file()) // 120
-    trajs = list(zip((f.stem for f in files), _fork_map(read_trajectory_csv, files, rows)))
+    rows = sum(f.stat().st_size for f in misses if f.is_file()) // 120
+    known.update(zip(misses, _fork_map(read_trajectory_csv, misses, rows)))
+    trajs = [(f.stem, known[f]) for f in files]
     first = trajs[0][1]
     for name, traj in trajs[1:]:
         if not np.array_equal(traj.t, first.t):

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from barriersmc import analysis, cli
-from barriersmc.experiment import FIGURE_SIGNALS, read_trajectory_csv
+from barriersmc import analysis, cli, experiment
+from barriersmc.experiment import FIGURE_SIGNALS, TRAJECTORY_COLUMNS, read_trajectory_csv
 
 REPO = Path(__file__).resolve().parents[1]
 SEC3 = REPO / "configs" / "paper_sec3.cfg"
@@ -267,9 +267,14 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_EXPECTATION:
         assert any(k.startswith("expect_") for k in items)
-    for path in (tmp / "out").glob("*.csv"):  # every trajectory CSV reads back
-        if path.name != "summary.csv":
-            read_trajectory_csv(path)
+    files = [p for p in (tmp / "out").glob("*.csv") if p.name != "summary.csv"]
+    if code != cli.EXIT_CONFIG:  # the run recorded exactly the files it wrote
+        assert len(experiment._WRITTEN) == len(files)
+    for path in files:  # every trajectory CSV reads back, bit for bit as recorded
+        parsed = read_trajectory_csv(path)
+        kept = experiment._WRITTEN[hashlib.sha256(path.read_bytes()).digest()]
+        for c in TRAJECTORY_COLUMNS:
+            assert getattr(kept, c).tobytes() == getattr(parsed, c).tobytes(), c
 
 
 @settings(deadline=None, max_examples=100)
@@ -449,7 +454,7 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
                 assert cli.main(["plot", str(out), "--figure", figure]) == cli.EXIT_OK
         trees.append({f.relative_to(tmp_path / str(ncpu)).as_posix(): f.read_bytes()
                       for f in (tmp_path / str(ncpu)).rglob("*") if f.is_file()})
-        assert len(forks) == (ncpu - 1) * 16
+        assert len(forks) == (ncpu - 1) * 12
     assert trees[0] == trees[1] and len(trees[0]) == 12
     assert codes[:2] == codes[2:]
 
@@ -567,8 +572,9 @@ def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script, cpus, fo
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     assert got == golden
-    # 2 batches, 6 trajectory CSVs, 4 plot reads and 4 figures, each split in two
-    assert len(forks) == 16
+    # 2 batches, 6 trajectory CSVs and 4 figures, each split in two; the plots
+    # look up the trajectories the batches just wrote instead of reading them
+    assert len(forks) == 12
 
 
 @pytest.mark.parametrize("text, code", [(FAILING, cli.EXIT_EXPECTATION),
@@ -591,6 +597,7 @@ def run_small(tmp_path, text=SMALL):
 def test_plot_trajectory_file_with_a_comma_in_its_name_exits_2(tmp_path, capsys):
     # the stem would name a column of the figure's header, splitting it in two
     out = run_small(tmp_path)
+    (out / "summary.csv").unlink()  # so that plot charts every file of the directory
     bad = out / "x,y.csv"
     bad.write_text((out / "still.csv").read_text())
     capsys.readouterr()
@@ -614,6 +621,7 @@ def test_plot_trajectory_file_with_a_comma_in_its_name_exits_2(tmp_path, capsys)
         "header_only", "wrong_header"])
 def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
     out = run_small(tmp_path)
+    # the run recorded still.csv: once edited, it is parsed, as an unrecorded file is
     csv = out / "still.csv"
     csv.write_text("\n".join(mangle(csv.read_text().splitlines())) + "\n")
     capsys.readouterr()
@@ -629,10 +637,13 @@ def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
 @pytest.mark.parametrize("bad", [("a", "still"), ("still",)])
 def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, monkeypatch,
                                                              cpus, forks, ncpu, bad):
-    # with two CPUs a.csv is read in this process and still.csv in a child
+    # with two CPUs a.csv is read in this process and still.csv in a child;
+    # with nothing recorded, the byte copy a.csv is read too
     cpus(ncpu)
     monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 1)
     out = run_small(tmp_path)
+    monkeypatch.setattr(cli.experiment, "_WRITTEN", {})
+    (out / "summary.csv").unlink()  # so that plot charts every file of the directory
     rows = (out / "still.csv").read_text().splitlines()
     (out / "a.csv").write_text("\n".join(rows) + "\n")
     for name in bad:
@@ -642,6 +653,79 @@ def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, m
     assert capsys.readouterr().err == (f"configuration error: {out / bad[0]}.csv: "
                                        "line 3: 2 fields, expected 6\n")
     assert len(forks) == ncpu - 1
+
+
+def test_plot_charts_only_the_last_runs_experiments(tmp_path):
+    # a second run into the same directory leaves the first run's still.csv
+    out = run_small(tmp_path)
+    moved = SMALL.replace("[still]", "[moved]").replace("k = 0.0", "k = 1.0")
+    assert cli.main(["run", str(write(tmp_path, moved)), "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "still.csv").is_file()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_OK
+    assert (out / "fig_sliding.csv").read_text().splitlines()[0] == "t,s_moved"
+    (out / "summary.csv").unlink()  # without one: every trajectory file of the directory
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_OK
+    assert (out / "fig_sliding.csv").read_text().splitlines()[0] == "t,s_moved,s_still"
+
+
+def no_parse(path):
+    raise AssertionError(f"parsed {path}")
+
+
+def test_plot_parses_a_trajectory_edited_after_the_run(tmp_path):
+    # the run recorded still.csv by its bytes, so the edited file is read anew
+    out = run_small(tmp_path)
+    rows = (out / "still.csv").read_text().splitlines()
+    fields = rows[3].split(",")
+    fields[1] = "0.5"  # s
+    rows[3] = ",".join(fields)
+    (out / "still.csv").write_text("\n".join(rows) + "\n")
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_OK
+    assert (out / "fig_sliding.csv").read_text().splitlines()[3] == f"{fields[0]},0.5"
+
+
+def test_a_byte_copy_of_a_written_trajectory_is_looked_up(tmp_path, monkeypatch):
+    out = run_small(tmp_path)
+    (out / "a.csv").write_bytes((out / "still.csv").read_bytes())
+    monkeypatch.setattr(experiment, "read_trajectory_csv", no_parse)
+    experiment.emit_plot_data([out / "still.csv", out / "a.csv"], "sliding", out / "fig.csv")
+    header, *rows = (out / "fig.csv").read_text().splitlines()
+    assert header == "t,s_a,s_still" and len(rows) == 41
+    assert all(a == b for _, a, b in (row.split(",") for row in rows))
+
+
+def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    summary = experiment.run_batch(experiment.loads_config(SMALL), out)
+    figures = [tmp_path / "before.csv", tmp_path / "after.csv"]
+    experiment.emit_plot_data([out / "still.csv"], "sliding", figures[0])
+    summary.results[0].trajectory.s[:] = 7.0  # the caller's arrays stay writable
+    monkeypatch.setattr(experiment, "read_trajectory_csv", no_parse)
+    experiment.emit_plot_data([out / "still.csv"], "sliding", figures[1])
+    assert figures[1].read_bytes() == figures[0].read_bytes()
+
+
+def test_with_nothing_recorded_plot_reads_each_file_once(tmp_path, monkeypatch):
+    # as in a fresh `barriersmc plot` process: no file is read to be hashed
+    out = run_small(tmp_path, SMALL + "\n" + SMALL.replace("[still]", "[other]"))
+    monkeypatch.setattr(experiment, "_WRITTEN", {})
+    monkeypatch.setattr(Path, "read_bytes", no_parse)
+    parsed = []
+    monkeypatch.setattr(experiment, "read_trajectory_csv",
+                        lambda path: parsed.append(path) or read_trajectory_csv(path))
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_OK
+    assert parsed == [out / "other.csv", out / "still.csv"]
+
+
+def test_an_unreadable_file_is_named_as_the_parse_names_it(tmp_path):
+    # a.csv cannot be hashed: it is then read, and fails, as it did unrecorded
+    out = run_small(tmp_path)
+    (out / "a.csv").symlink_to(out / "gone.csv")
+    with pytest.raises(experiment.ConfigError) as err:
+        experiment.emit_plot_data([out / "still.csv", out / "a.csv"], "sliding",
+                                  out / "fig.csv")
+    assert str(err.value) == (f"{out / 'a.csv'}: [Errno 2] No such file or directory: "
+                              f"'{out / 'a.csv'}'")
 
 
 def test_unwritable_run_output_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import itertools
 import math
 import os
@@ -322,7 +323,8 @@ class TestTrajectoryCsv:
                       elements=csv_values))
     def test_byte_format_and_bitwise_round_trip(self, csv_path, rows):
         traj = Trajectory(*rows.T)
-        write_trajectory_csv(traj, csv_path)
+        assert write_trajectory_csv(traj, csv_path) == hashlib.sha256(
+            csv_path.read_bytes()).digest()
         expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
             ",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
         assert csv_path.read_text() == expected
