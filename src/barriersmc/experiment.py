@@ -55,9 +55,9 @@ contiguous share per CPU in the process's affinity mask, computes the
 first share itself and each other one in a forked child that pickles its
 results back: `run_batch` over its experiments, `_write_columns` over
 blocks of rows, `emit_plot_data` over the trajectory files it parses and
-`sweep` over its grid points. None of them runs inside another. A share under
-_FORK_MIN_SAMPLES samples (rows, or a call site's Euler steps per sample)
-stays in this process, and so does everything on a platform without
+`sweep` over its grid points. None of them runs inside another. A share
+under _FORK_MIN_SAMPLES samples (rows, or a call site's Euler steps per
+sample) stays in this process, and so does everything on a platform without
 `os.fork`. The results, and so every output byte, are those of the serial
 loop, and an error is the first one in item order, as the serial loop
 raises it. `taskset -c 0` runs everything in one process.
