@@ -63,8 +63,8 @@ MUTANTS = (
            tuple(f"{PINS}[{c}-custom]"
                  for c in ("fixed_sign", "kinfty-concave", "kinfty-convex"))),
     Mutant("writer_turns_negative_zero_positive", "src/barriersmc/experiment.py",
-           "part = [c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in cols]",
-           "part = [(c[lo:lo + _WRITE_CHUNK_ROWS] + 0.0).tolist() for c in cols]",
+           "part = col[lo:lo + _CHUNK_ROWS].tolist()",
+           "part = (col[lo:lo + _CHUNK_ROWS] + 0.0).tolist()",
            ("tests/test_experiment.py::TestTrajectoryCsv::"
             "test_byte_format_and_bitwise_round_trip",)),
     Mutant("relay_sign_as_copysign", "src/barriersmc/simkernel.py",
@@ -134,16 +134,29 @@ MUTANTS = (
            "enumerate(lines[1:], start=2)", "enumerate(lines[1:], start=1)",
            tuple(f"tests/test_cli.py::test_plot_malformed_trajectory_exits_2[{case}]"
                  for case in ("non_number", "short_row"))),
-    # --- what `plot` looks up instead of parsing: the trajectories `run` wrote
-    Mutant("record_shares_the_result_columns", "src/barriersmc/experiment.py",
-           "getattr(r.trajectory, c).copy() for c in", "getattr(r.trajectory, c) for c in",
-           ("tests/test_cli.py::test_writing_into_a_run_result_does_not_change_the_figure",)),
+    # --- what `plot` looks up instead of parsing: the text of the columns `run` wrote
     Mutant("record_keyed_by_file_path", "src/barriersmc/experiment.py",
-           "_WRITTEN[write_trajectory_csv(r.trajectory, path)] = Trajectory(*kept)",
-           "_WRITTEN[path] = Trajectory(*kept)\n"
-           "            write_trajectory_csv(r.trajectory, path)",
+           "_WRITTEN[write_trajectory_csv(traj, path)] = _Written(**k)",
+           "_WRITTEN[path] = _Written(**k)\n        write_trajectory_csv(traj, path)",
            ("tests/test_cli.py::test_a_byte_copy_of_a_written_trajectory_is_looked_up",
             "tests/test_cli.py::test_run_never_tracebacks")),
+    # a key by value takes -0.0 for 0.0: two columns that differ only in the
+    # sign of a zero would share one text
+    Mutant("column_text_keyed_by_value", "src/barriersmc/experiment.py",
+           "return hashlib.sha256(np.ascontiguousarray(col, dtype=np.float64)).digest()",
+           "return hash(tuple(col.tolist()))",
+           ("tests/test_experiment.py::TestRunBatch::"
+            "test_columns_that_differ_only_in_the_sign_of_zero_keep_their_text",)),
+    # columns with two keys can still be equal: a figure from the record
+    # must then pass the grid and disturbance checks, as the parsed files do
+    Mutant("grid_check_compares_keys_not_values", "src/barriersmc/experiment.py",
+           "np.array_equal(_floats(a), _floats(b))", "np.array_equal(a, b)",
+           ("tests/test_cli.py::"
+            "test_a_figure_from_the_record_is_the_figure_from_the_files[signed_zero_d]",)),
+    # --- the paper's claims: no gain overestimation once settled in the band
+    Mutant("settled_peak_gain_reads_the_whole_record", "src/barriersmc/analysis.py",
+           "mask = traj.t >= t_conv + SETTLE_PAD", "mask = traj.t >= traj.t[0]",
+           ("tests/test_acceptance.py::test_criterion_6_no_overestimation",)),
 )
 
 

@@ -1,5 +1,5 @@
 """Post-hoc trajectory metrics: band convergence, escape/return events,
-chattering (total variation), gain-overestimation checks, and the analytic
+chattering (total variation), the settled gain peak, and the analytic
 convergence-time bound for the saturated controller.
 
 All functions are read-only over immutable trajectories.
@@ -20,10 +20,6 @@ from barriersmc.simkernel import Trajectory
 # chattering window as a fraction of the horizon.
 SETTLE_PAD = 1.0
 DEFAULT_CHATTER_FRACTION = 0.2
-
-
-class NoConvergenceError(ValueError):
-    """An operation that needs a convergence time found none."""
 
 
 class AssumptionViolatedError(ValueError):
@@ -55,13 +51,6 @@ class ConvergenceReport:
 class ChatteringReport:
     total_variation: float
     window: Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class OverestimationReport:
-    ok: bool
-    worst_t: float
-    worst_gain: float
 
 
 def convergence_time(traj: Trajectory, sigma: float) -> ConvergenceReport:
@@ -125,26 +114,6 @@ def settled_peak_gain(traj: Trajectory, t_conv: float) -> Optional[Tuple[float, 
     gains = traj.gain[mask]
     worst = int(np.argmax(gains))
     return float(traj.t[mask][worst]), float(gains[worst])
-
-
-def overestimation_check(
-    traj: Trajectory,
-    d_bar: float,
-    margin: float,
-    sigma: float,
-) -> OverestimationReport:
-    """True iff the commanded gain stays <= d_bar + margin once the band
-    |s| <= sigma has been permanently entered (plus a settle pad)."""
-    if not (d_bar > 0 and margin > 0):
-        raise ValueError("d_bar and margin must be positive")
-    report = convergence_time(traj, sigma)
-    if report.t_conv is None:
-        raise NoConvergenceError(f"no permanent entry into |s| <= {sigma:g}")
-    peak = settled_peak_gain(traj, report.t_conv)
-    if peak is None:
-        raise ValueError("settle pad leaves no post-convergence samples")
-    worst_t, worst_gain = peak
-    return OverestimationReport(worst_gain <= d_bar + margin, worst_t, worst_gain)
 
 
 def sat_time_bound(s0: float, law: GainLaw, k_max: float, d_bar: float) -> float:

@@ -53,14 +53,18 @@ Work split over the CPUs
 Four loops run through `_fork_map`, which splits its items into one
 contiguous share per CPU in the process's affinity mask, computes the
 first share itself and each other one in a forked child that pickles its
-results back: `run_batch` over its experiments, `_write_columns` over
-blocks of rows, `emit_plot_data` over the trajectory files it parses and
-`sweep` over its grid points. None of them runs inside another. A share
-under _FORK_MIN_SAMPLES samples (rows, or a call site's Euler steps per
-sample) stays in this process, and so does everything on a platform without
-`os.fork`. The results, and so every output byte, are those of the serial
-loop, and an error is the first one in item order, as the serial loop
-raises it. `taskset -c 0` runs everything in one process.
+results back: `run_batch` over its experiments, `_format_columns` over
+(column, 1000-row chunk) jobs, `emit_plot_data` over the trajectory files
+it parses and `sweep` over its grid points. `_format_columns` formats the
+distinct figure columns of a batch for `run_batch`, and the columns that
+the text record below does not hold for `write_trajectory_csv` and
+`emit_plot_data`. None of them runs inside another. A share under
+_FORK_MIN_SAMPLES samples (rows to parse, six values to format, or a call
+site's Euler steps per sample) stays in this process, and so does
+everything on a platform without `os.fork`. The results, and so every
+output byte, are those of the serial loop, and an error is the first one
+in item order, as the serial loop raises it. `taskset -c 0` runs
+everything in one process.
 
 Trajectory CSV
 --------------
@@ -74,25 +78,38 @@ column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
 
-`write_trajectory_csv` returns the sha256 of the bytes it wrote, and
-`run_batch` records, in the module's `_WRITTEN`, each digest with a bare
-trajectory of private, read-only copies of the columns it formatted.
-Each batch clears the record before it writes, so it holds at most one
-batch. `emit_plot_data` looks up the sha256 of each file it is given
-there and parses only the misses: a file edited since, or one that cannot
-be read, is parsed and fails as before. A hit gives what the parse would,
-bit for bit, since `%.17g` round-trips every double. While the record is
-empty, as in a fresh `barriersmc plot` process, no file is hashed.
+Both writers build their rows from the text of whole columns, one string
+per 1000 values, and format each distinct such chunk of values once, so
+that columns which share a chunk share its string. `run_batch` keys
+every column by the sha256 of its float64 bytes, and formats each
+distinct column a figure can chart (FIGURE_COLUMNS) once for the batch:
+within a batch, `t` and a shared `d` are the same bytes in every
+experiment. It keeps that text in the module's `_TEXT`, and in `_WRITTEN`
+the sha256 of each trajectory CSV it wrote, with the keys of its figure
+columns. Each batch clears both before it writes, so they hold at most
+one batch: about 20 bytes of text per distinct value, and no floats.
+`write_trajectory_csv` takes the text of a column from `_TEXT` by its key
+and formats any other column, such as a clamped `u_commanded`, for that
+write only. `emit_plot_data` looks up the sha256 of each file it is given
+in `_WRITTEN` and parses only the misses: a file edited since, or one that
+cannot be read, is parsed and fails as before. A hit gives the text that
+a parse and a format would, since `%.17g` round-trips every double. The
+grid and disturbance checks take two equal keys as equal columns, and
+otherwise compare the floats, read back from the recorded text where
+needed, as they compare parsed ones. A figure made of hits formats
+nothing. `emit_plot_data` adds nothing to the record. While it is empty,
+as in a fresh `barriersmc plot` process, no file is hashed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,22 +146,38 @@ from barriersmc.simkernel import (
 FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 
 # `_fork_map` forks only when each share holds at least this many samples,
-# a sample being the work of one trajectory row to format or parse: below
-# it, the fork, the pipe and the pickled results cost more than the share.
-# The simulating call sites count several Euler steps as one sample, from
-# their break-even shares (two items, serial against forked, 2-vCPU host):
-# ~10000 steps for grid points, which return one row each, and ~15000 for
-# experiments, which return their whole trajectories.
+# a sample being the work of one trajectory row to parse or of six values
+# to format: below it, the fork, the pipe and the pickled results cost more
+# than the share. The simulating call sites count several Euler steps as
+# one sample, from their break-even shares (two items, serial against
+# forked, 2-vCPU host): ~10000 steps for grid points, which return one row
+# each, and ~15000 for experiments, which return their whole trajectories.
 _FORK_MIN_SAMPLES = 5000
 _SWEEP_STEPS_PER_SAMPLE = 2
 _RUN_STEPS_PER_SAMPLE = 3
-_WRITE_CHUNK_ROWS = 1000  # `_write_columns` formats rows in parts this long
+_CHUNK_ROWS = 1000  # values per string of column text, and rows per write
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
+FIGURE_COLUMNS = ("t", "s", "gain", "u_applied", "d")  # what a figure can chart
 
-# sha256 of a trajectory CSV that the last `run_batch` of this process wrote
-# -> a bare trajectory of read-only copies of the columns it was formatted from
-_WRITTEN: Dict[bytes, Trajectory] = {}
+
+class _Written(NamedTuple):
+    """The figure columns of a trajectory CSV that `run_batch` wrote, as
+    the keys of their text in _TEXT."""
+
+    t: bytes
+    s: bytes
+    gain: bytes
+    u_applied: bytes
+    d: bytes
+
+
+# The record of the last `run_batch` of this process (see the module
+# docstring): the key of each distinct figure column it wrote -> its text,
+# one "\n"-joined string per _CHUNK_ROWS values; and the sha256 of each
+# trajectory CSV it wrote -> that file's figure columns.
+_TEXT: Dict[bytes, List[str]] = {}
+_WRITTEN: Dict[bytes, _Written] = {}
 
 
 class ConfigError(ValueError):
@@ -517,29 +550,79 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
 
 # --- trajectory CSV --------------------------------------------------------
 
-def _write_columns(path, header: Sequence[str], cols: Sequence[np.ndarray]) -> bytes:
-    """Write equal-length float columns as CSV, every value as FLOAT_FMT,
-    one formatted part at a time, and return the sha256 of the bytes written."""
+def _key(col: np.ndarray) -> bytes:
+    """The sha256 of a column's float64 bytes: columns with one key have one text."""
     import hashlib  # here: importing the package does not pay for it
-    row = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    return hashlib.sha256(np.ascontiguousarray(col, dtype=np.float64)).digest()
 
-    def rows(lo: int) -> str:
-        part = [c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in cols]
-        return "".join(map(row.__mod__, zip(*part)))
 
-    parts = _fork_map(rows, range(0, len(cols[0]), _WRITE_CHUNK_ROWS), len(cols[0]))
+def _chunk_text(job: Tuple[np.ndarray, int]) -> str:
+    """The _CHUNK_ROWS values of a column from row `lo` on, as FLOAT_FMT
+    text joined by "\n"."""
+    col, lo = job
+    part = col[lo:lo + _CHUNK_ROWS].tolist()
+    return "\n".join([FLOAT_FMT] * len(part)) % tuple(part)
+
+
+def _format_columns(cols: Sequence[np.ndarray]) -> List[List[str]]:
+    """The text of each column, as its `_chunk_text` strings. Each distinct
+    chunk of values is formatted once, in one `_fork_map` over (column,
+    chunk) jobs, and every column that holds it shares its string."""
+    chunks = [[(col, lo) for lo in range(0, len(col), _CHUNK_ROWS)] for col in cols]
+    keys = [[_key(col[lo:lo + _CHUNK_ROWS]) for col, lo in jobs] for jobs in chunks]
+    distinct = dict(zip(itertools.chain(*keys), itertools.chain(*chunks)))
+    values = sum(min(_CHUNK_ROWS, len(col) - lo) for col, lo in distinct.values())
+    text = dict(zip(distinct, _fork_map(_chunk_text, distinct.values(),
+                                        values // len(TRAJECTORY_COLUMNS))))
+    return [[text[k] for k in column] for column in keys]
+
+
+def _floats(col) -> np.ndarray:
+    """A column given as a float array or as the key of its text in _TEXT."""
+    if isinstance(col, np.ndarray):
+        return col
+    return np.array([float(v) for part in _TEXT[col] for v in part.split("\n")])
+
+
+def _equal(a, b) -> bool:
+    """`np.array_equal` of two columns, each a float array or a key in
+    _TEXT. Equal keys need no floats: they stand for equal bytes, and the
+    t and d columns that `run_batch` records are finite."""
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b:
+        return True
+    return np.array_equal(_floats(a), _floats(b))
+
+
+def _texts(cols: Sequence) -> List[List[str]]:
+    """The text of each column, given as a float array or as its key in
+    _TEXT: the recorded text where there is some, and each other distinct
+    column formatted here, once, without recording it."""
+    keys = [_key(c) if isinstance(c, np.ndarray) else c for c in cols]
+    fresh = {k: c for k, c in zip(keys, cols) if k not in _TEXT}
+    made = dict(zip(fresh, _format_columns(list(fresh.values()))))
+    return [_TEXT[k] if k in _TEXT else made[k] for k in keys]
+
+
+def _write_text(path, header: Sequence[str], texts: Sequence[List[str]]) -> bytes:
+    """Write columns of equal length, given as their `_chunk_text` strings,
+    as CSV rows under the header, one chunk of rows at a time, and return
+    the sha256 of the bytes written."""
+    import hashlib
+    rows = ("\n".join(map(",".join, zip(*(part.split("\n") for part in parts)))) + "\n"
+            for parts in zip(*texts))
     digest = hashlib.sha256()
     with open(path, "w") as out:  # text mode on POSIX writes each "\n" as it is
-        for part in [",".join(header) + "\n", *parts]:
+        for part in itertools.chain([",".join(header) + "\n"], rows):
             out.write(part)
             digest.update(part.encode(out.encoding))
     return digest.digest()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> bytes:
-    """Write the trajectory CSV; returns the sha256 of its bytes."""
-    return _write_columns(path, TRAJECTORY_COLUMNS,
-                          [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
+    """Write the trajectory CSV; returns the sha256 of its bytes. A column
+    whose text the last `run_batch` recorded is not formatted again."""
+    return _write_text(path, TRAJECTORY_COLUMNS,
+                       _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS]))
 
 
 def _first_bad_line(lines: List[str], width: int) -> str:
@@ -716,15 +799,20 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     steps = sum(n_steps(s.sim) + 1 for s in specs)
     results = _fork_map(run_experiment, specs, steps // _RUN_STEPS_PER_SAMPLE)
     _WRITTEN.clear()
+    _TEXT.clear()
+    written = []  # (trajectory, path)
     for r in results:
         path = out_dir / f"{r.spec.name}.csv"
         if r.trajectory is not None and len(r.trajectory):
-            kept = [getattr(r.trajectory, c).copy() for c in TRAJECTORY_COLUMNS]
-            for col in kept:  # private and read-only: the caller owns r.trajectory
-                col.flags.writeable = False
-            _WRITTEN[write_trajectory_csv(r.trajectory, path)] = Trajectory(*kept)
+            written.append((r.trajectory, path))
         else:
             path.unlink(missing_ok=True)
+    keys = [{c: _key(getattr(traj, c)) for c in FIGURE_COLUMNS} for traj, _ in written]
+    distinct = {k[c]: getattr(traj, c) for (traj, _), k in zip(written, keys)
+                for c in FIGURE_COLUMNS}
+    _TEXT.update(zip(distinct, _format_columns(list(distinct.values()))))
+    for (traj, path), k in zip(written, keys):
+        _WRITTEN[write_trajectory_csv(traj, path)] = _Written(**k)
     summary = BatchSummary(tuple(results))
     (out_dir / "summary.csv").write_text(summary_csv(summary))
     return summary
@@ -824,12 +912,13 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     for f in files:  # the stem names the file's columns in the header
         if "," in f.stem:
             raise ConfigError(f"{f}: a comma in the file name would split its column")
-    known = {}  # file -> the trajectory `run_batch` formatted into exactly its bytes
+    known = {}  # file -> its `_Written` figure columns, or its parsed trajectory
     if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
         import hashlib
         for f in files:
             try:
-                known[f] = _WRITTEN[hashlib.sha256(f.read_bytes()).digest()]
+                with open(f, "rb") as data:
+                    known[f] = _WRITTEN[hashlib.file_digest(data, "sha256").digest()]
             except (OSError, KeyError):  # parsed below, which raises in file order
                 pass
     misses = [f for f in files if f not in known]
@@ -839,14 +928,14 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     trajs = [(f.stem, known[f]) for f in files]
     first = trajs[0][1]
     for name, traj in trajs[1:]:
-        if not np.array_equal(traj.t, first.t):
+        if not _equal(traj.t, first.t):
             raise ConfigError(f"time grid of '{name}' does not match; no resampling")
-        if figure == "escape" and not np.array_equal(traj.d, first.d):
+        if figure == "escape" and not _equal(traj.d, first.d):
             raise ConfigError("escape overlay requires a shared disturbance")
 
     short = {"s": "s", "gain": "gain", "u_applied": "u"}
     header = ["t"]
-    cols = [first.t]
+    cols = [first.t]  # float arrays, or keys of recorded text
     for signal in FIGURE_SIGNALS[figure]:
         for name, traj in trajs:
             header.append(f"{short[signal]}_{name}")
@@ -854,4 +943,4 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     if figure == "escape":
         header.append("d")
         cols.append(first.d)
-    _write_columns(out_path, header, cols)
+    _write_text(out_path, header, _texts(cols))

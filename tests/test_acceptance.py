@@ -130,13 +130,14 @@ def test_criterion_5_saturation_contrast(sec3):
 
 
 def test_criterion_6_no_overestimation(sec7):
+    # each run takes its settled gain peak past its own band, which is BAND
     ok = True
     details = []
     for name, res in sec7.items():
-        rep = analysis.overestimation_check(res.trajectory, D_BAR, 0.05,
-                                            sigma=BAND)
-        ok = ok and rep.ok
-        details.append(f"{name}: worst gain {rep.worst_gain:.3f}")
+        assert res.spec.sigma_target == BAND, name
+        peak = res.gain_max_post  # None: no sample after the band and its settle pad
+        ok = ok and peak is not None and peak <= D_BAR + 0.05
+        details.append(f"{name}: worst gain {'none' if peak is None else f'{peak:.3f}'}")
     verdict(6, ok, "; ".join(details))
 
 

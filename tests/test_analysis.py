@@ -8,14 +8,12 @@ from barriersmc import analysis
 from barriersmc.analysis import (
     AssumptionViolatedError,
     InvalidComparisonError,
-    NoConvergenceError,
     compare_convergence,
     convergence_time,
-    overestimation_check,
     sat_time_bound,
     total_variation,
 )
-from barriersmc.controllers import Controller, FixedSign, KInfty
+from barriersmc.controllers import Controller, KInfty
 from barriersmc.gains import (
     ConcaveParams,
     ConvexParams,
@@ -118,25 +116,6 @@ class TestTotalVariation:
             total_variation(traj, (0.5, 0.5))
         with pytest.raises(ValueError):
             total_variation(traj, (0.0, 99.0))
-
-
-class TestOverestimation:
-    def test_boundary_gain_passes(self):
-        traj = make_traj([0.0] * 30, gain=[0.2] * 30, h=0.1)
-        rep = overestimation_check(traj, 0.2, 0.05, sigma=0.1)
-        assert rep.ok
-
-    def test_relay_baseline_fails(self):
-        d = DisturbanceSpec(PiecewiseVII(), 0.2)
-        traj = simulate(Controller(FixedSign(5.0)), d, SimConfig(1.0, 1e-3, 5.0))
-        rep = overestimation_check(traj, 0.2, 0.05, sigma=0.1)
-        assert not rep.ok
-        assert rep.worst_gain == 5.0
-
-    def test_requires_convergence(self):
-        traj = make_traj([1.0, 2.0, 3.0])
-        with pytest.raises(NoConvergenceError):
-            overestimation_check(traj, 0.2, 0.05, sigma=0.1)
 
 
 class TestSatTimeBound:

@@ -270,11 +270,14 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     files = [p for p in (tmp / "out").glob("*.csv") if p.name != "summary.csv"]
     if code != cli.EXIT_CONFIG:  # the run recorded exactly the files it wrote
         assert len(experiment._WRITTEN) == len(files)
-    for path in files:  # every trajectory CSV reads back, bit for bit as recorded
+    for path in files:  # every trajectory CSV reads back as recorded
         parsed = read_trajectory_csv(path)
-        kept = experiment._WRITTEN[hashlib.sha256(path.read_bytes()).digest()]
-        for c in TRAJECTORY_COLUMNS:
-            assert getattr(kept, c).tobytes() == getattr(parsed, c).tobytes(), c
+        entry = experiment._WRITTEN[hashlib.sha256(path.read_bytes()).digest()]
+        for c in experiment.FIGURE_COLUMNS:  # the key and the text of each figure column
+            key = experiment._key(getattr(parsed, c))
+            assert getattr(entry, c) == key, c
+            assert "\n".join(experiment._TEXT[key]) == "\n".join(
+                "%.17g" % v for v in getattr(parsed, c).tolist()), c
 
 
 @settings(deadline=None, max_examples=100)
@@ -441,7 +444,8 @@ def test_sweep_divergence_in_a_forked_share_exits_3(capsys, cpus, forks, ncpu):
 
 def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, forks):
     # both campaigns cut to 1.5 s, with a share minimum low enough that every
-    # call site still splits; the full-length bytes are the replay golden's
+    # call site still splits; the full-length bytes are the replay golden's.
+    # Each figure is plotted from the run's record, then from the files alone.
     monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 500)
     trees, codes = [], []
     for ncpu in (1, 2):
@@ -452,10 +456,27 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
             codes.append(cli.main(["run", str(p), "--out", str(out)]))
             for figure in figures:
                 assert cli.main(["plot", str(out), "--figure", figure]) == cli.EXIT_OK
+            with monkeypatch.context() as fresh:  # as a new `plot` process would
+                fresh.setattr(cli.experiment, "_WRITTEN", {})
+                fresh.setattr(cli.experiment, "_TEXT", {})
+                for figure in figures:
+                    assert cli.main(["plot", str(out), "--figure", figure, "--out",
+                                     str(out / f"parsed_{figure}.csv")]) == cli.EXIT_OK
         trees.append({f.relative_to(tmp_path / str(ncpu)).as_posix(): f.read_bytes()
                       for f in (tmp_path / str(ncpu)).rglob("*") if f.is_file()})
+        # 1501 rows a file, and a share of at least 500 samples: each run
+        # forks once to simulate and once to format the distinct chunks of
+        # its figure columns (sec7: 25 chunks, 3251 samples of six values;
+        # sec3: 16, 2001); its trajectory CSVs reuse that text, and sec3's
+        # clamped u_commanded, 250 samples, is formatted in this process.
+        # Plotted from the record, a figure forks nothing; from the files, it
+        # forks once to parse them and once to format its columns (a sec7
+        # figure: 9 chunks, 1167 samples; escape: 12, 1501): 2 * 2 + 4 * 2.
         assert len(forks) == (ncpu - 1) * 12
-    assert trees[0] == trees[1] and len(trees[0]) == 12
+    assert trees[0] == trees[1] and len(trees[0]) == 16
+    for name, data in trees[0].items():
+        if "/parsed_" in name:
+            assert data == trees[0][name.replace("/parsed_", "/fig_")]
     assert codes[:2] == codes[2:]
 
 
@@ -572,9 +593,13 @@ def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script, cpus, fo
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     assert got == golden
-    # 2 batches, 6 trajectory CSVs and 4 figures, each split in two; the plots
-    # look up the trajectories the batches just wrote instead of reading them
-    assert len(forks) == 12
+    # each of the 2 batches forks once to simulate and once to format the
+    # distinct 1000-value chunks of its figure columns: t, d and 3 columns of
+    # each experiment (sec7: 122 chunks, 18834 samples of six values; sec3:
+    # 150, 23834). Its trajectory CSVs reuse that text, and sec3's clamped
+    # u_commanded columns, 3333 samples each, are formatted in this process.
+    # The plots look up the text of the trajectories the batches just wrote.
+    assert len(forks) == 2 * 2
 
 
 @pytest.mark.parametrize("text, code", [(FAILING, cli.EXIT_EXPECTATION),
@@ -637,8 +662,9 @@ def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
 @pytest.mark.parametrize("bad", [("a", "still"), ("still",)])
 def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, monkeypatch,
                                                              cpus, forks, ncpu, bad):
-    # with two CPUs a.csv is read in this process and still.csv in a child;
-    # with nothing recorded, the byte copy a.csv is read too
+    # with two CPUs the run formats the distinct chunks of the figure columns
+    # of still.csv in two shares; then a.csv is read in this process and
+    # still.csv in a child; with nothing recorded, the byte copy a.csv is read too
     cpus(ncpu)
     monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 1)
     out = run_small(tmp_path)
@@ -652,7 +678,7 @@ def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, m
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"configuration error: {out / bad[0]}.csv: "
                                        "line 3: 2 fields, expected 6\n")
-    assert len(forks) == ncpu - 1
+    assert len(forks) == 2 * (ncpu - 1)
 
 
 def test_plot_charts_only_the_last_runs_experiments(tmp_path):
@@ -695,13 +721,18 @@ def test_a_byte_copy_of_a_written_trajectory_is_looked_up(tmp_path, monkeypatch)
 
 
 def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypatch):
+    # the escape overlay compares the t and d columns of the two files
     out = tmp_path / "out"
-    summary = experiment.run_batch(experiment.loads_config(SMALL), out)
+    text = SMALL + "\n" + SMALL.replace("[still]", "[other]").replace("k = 0.0", "k = 1.0")
+    summary = experiment.run_batch(experiment.loads_config(text), out)
+    files = [out / "still.csv", out / "other.csv"]
     figures = [tmp_path / "before.csv", tmp_path / "after.csv"]
-    experiment.emit_plot_data([out / "still.csv"], "sliding", figures[0])
-    summary.results[0].trajectory.s[:] = 7.0  # the caller's arrays stay writable
+    experiment.emit_plot_data(files, "escape", figures[0])
+    for r in summary.results:  # the caller's arrays stay writable
+        for c in TRAJECTORY_COLUMNS:
+            getattr(r.trajectory, c)[:] = 7.0 + len(r.spec.name)
     monkeypatch.setattr(experiment, "read_trajectory_csv", no_parse)
-    experiment.emit_plot_data([out / "still.csv"], "sliding", figures[1])
+    experiment.emit_plot_data(files, "escape", figures[1])
     assert figures[1].read_bytes() == figures[0].read_bytes()
 
 
@@ -709,12 +740,56 @@ def test_with_nothing_recorded_plot_reads_each_file_once(tmp_path, monkeypatch):
     # as in a fresh `barriersmc plot` process: no file is read to be hashed
     out = run_small(tmp_path, SMALL + "\n" + SMALL.replace("[still]", "[other]"))
     monkeypatch.setattr(experiment, "_WRITTEN", {})
-    monkeypatch.setattr(Path, "read_bytes", no_parse)
+    monkeypatch.setattr(hashlib, "file_digest", no_parse)
     parsed = []
     monkeypatch.setattr(experiment, "read_trajectory_csv",
                         lambda path: parsed.append(path) or read_trajectory_csv(path))
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_OK
     assert parsed == [out / "other.csv", out / "still.csv"]
+
+
+def _cut(cfg):
+    return re.sub(r"t_end = \d+\.0", "t_end = 1.5", cfg.read_text())
+
+
+SIGNED_ZERO_D = (custom_table("0.0, 1.0", "0.0, 0.0") + "\n"
+                 + custom_table("0.0, 1.0", "-0.0, -0.0").replace("[still]", "[minus]"))
+TWO_GRIDS = SMALL + "\n" + SMALL.replace("[still]", "[longer]").replace("0.04", "0.05")
+
+
+@pytest.mark.parametrize("text, figure, code", [
+    *((_cut(SEC7), figure, cli.EXIT_OK) for figure in ("sliding", "gains", "inputs")),
+    (_cut(SEC3), "escape", cli.EXIT_OK),
+    (SIGNED_ZERO_D, "escape", cli.EXIT_OK),  # the d columns are equal as numbers
+    (TWO_GRIDS, "sliding", cli.EXIT_CONFIG),
+], ids=["sec7_sliding", "sec7_gains", "sec7_inputs", "sec3_escape", "signed_zero_d",
+        "two_grids"])
+def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeypatch,
+                                                                text, figure, code):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) in (
+        cli.EXIT_OK, cli.EXIT_EXPECTATION)
+    got = []
+    for recorded in (True, False):
+        with monkeypatch.context() as m:
+            if recorded:  # every file is looked up: nothing is parsed or formatted
+                m.setattr(experiment, "read_trajectory_csv", no_parse)
+                m.setattr(experiment, "_chunk_text", no_parse)
+            else:  # as a new `plot` process, which has no record
+                m.setattr(experiment, "_WRITTEN", {})
+                m.setattr(experiment, "_TEXT", {})
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                got.append(cli.main(["plot", str(out), "--figure", figure]))
+            fig = out / f"fig_{figure}.csv"
+            got += [err.getvalue(), fig.read_bytes() if fig.exists() else None]
+            fig.unlink(missing_ok=True)
+    assert got[:3] == got[3:] and got[0] == code
+    if text is SIGNED_ZERO_D:  # the two files differ in the sign of their last d
+        assert (out / "still.csv").read_bytes() != (out / "minus.csv").read_bytes()
+    if code == cli.EXIT_CONFIG:
+        assert got[1] == ("configuration error: time grid of 'still' does not match; "
+                          "no resampling\n")
 
 
 def test_an_unreadable_file_is_named_as_the_parse_names_it(tmp_path):

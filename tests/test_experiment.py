@@ -380,6 +380,43 @@ class TestRunBatch:
         traj = read_trajectory_csv(out / "still.csv")
         assert np.all(traj.s == 1.0)
 
+    def test_columns_that_differ_only_in_the_sign_of_zero_keep_their_text(self, tmp_path):
+        # equal as numbers, so a column key by value would give both d columns one text
+        def zeros(v):
+            return DisturbanceSpec(CustomTable((0.0, 1.0), (v, v)), 1.0)
+
+        specs = [quick_spec(name, disturbance=zeros(v), sim=SimConfig(1.0, 0.1, 1.0))
+                 for name, v in (("plus", 0.0), ("minus", -0.0))]
+        summary = run_batch(specs, tmp_path)
+        plus, minus = (r.trajectory.d for r in summary.results)
+        assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+        for r in summary.results:
+            parsed = read_trajectory_csv(tmp_path / f"{r.spec.name}.csv")
+            assert_columns_bitwise_equal(parsed, r.trajectory)
+
+    def test_the_text_record_holds_the_last_batch_only(self, tmp_path):
+        def figure_keys(summary):
+            return {experiment._key(getattr(r.trajectory, c))
+                    for r in summary.results for c in experiment.FIGURE_COLUMNS}
+
+        out = tmp_path / "a"
+        first = run_batch([quick_spec("one"), quick_spec("two", FixedSign(1.0))], out)
+        assert set(experiment._TEXT) == figure_keys(first)
+        text, written = dict(experiment._TEXT), dict(experiment._WRITTEN)
+        # a file the batch did not write, charted first, beside its files:
+        # its columns are formatted for the figure, and nothing is recorded
+        fresh = run_experiment(quick_spec("fresh", FixedSign(2.0))).trajectory
+        write_trajectory_csv(fresh, out / "fresh.csv")
+        emit_plot_data([out / "one.csv", out / "two.csv", out / "fresh.csv"], "escape",
+                       tmp_path / "fig.csv")
+        assert (tmp_path / "fig.csv").read_text().splitlines()[0] == \
+            "t,s_fresh,s_one,s_two,u_fresh,u_one,u_two,d"
+        assert experiment._TEXT == text and experiment._WRITTEN == written
+        assert experiment._key(fresh.s) not in experiment._TEXT
+        second = run_batch([quick_spec("four", sim=SimConfig(0.5, 1e-3, 0.2))], tmp_path / "b")
+        assert set(experiment._TEXT) == figure_keys(second)
+        assert not set(experiment._TEXT) & set(text)
+
 
 class TestSweep:
     def base(self):
@@ -538,7 +575,10 @@ class TestForkMap:
         monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path: None)
         specs = [self.stretched(name, steps) for name in ("cc", "cv")]
         assert not run_batch(specs, tmp_path).any_diverged
-        assert len(forks) == forked
+        # `forked` to simulate, and one more to format the batch's 8 distinct
+        # figure columns (t and d are shared): 8 * (steps + 1) values, at
+        # least 16001 samples of six
+        assert len(forks) == forked + 1
 
     def test_a_child_that_ends_without_a_result_raises(self, cpus, forks):
         cpus(2)
