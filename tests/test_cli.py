@@ -451,7 +451,7 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
     for ncpu in (1, 2):
         cpus(ncpu)
         for cfg, figures in ((SEC7, ("sliding", "gains", "inputs")), (SEC3, ("escape",))):
-            p = write(tmp_path, re.sub(r"t_end = \d+\.0", "t_end = 1.5", cfg.read_text()))
+            p = write(tmp_path, _cut(cfg))
             out = tmp_path / str(ncpu) / cfg.stem
             codes.append(cli.main(["run", str(p), "--out", str(out)]))
             for figure in figures:
@@ -721,7 +721,8 @@ def test_a_byte_copy_of_a_written_trajectory_is_looked_up(tmp_path, monkeypatch)
 
 
 def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypatch):
-    # the escape overlay compares the t and d columns of the two files
+    # the record keeps the text and the keys of what the run wrote, not the
+    # caller's arrays; the escape overlay also checks the grid and the d column
     out = tmp_path / "out"
     text = SMALL + "\n" + SMALL.replace("[still]", "[other]").replace("k = 0.0", "k = 1.0")
     summary = experiment.run_batch(experiment.loads_config(text), out)
@@ -749,6 +750,7 @@ def test_with_nothing_recorded_plot_reads_each_file_once(tmp_path, monkeypatch):
 
 
 def _cut(cfg):
+    """A bundled campaign cut to 1.5 s."""
     return re.sub(r"t_end = \d+\.0", "t_end = 1.5", cfg.read_text())
 
 
