@@ -136,17 +136,20 @@ MUTANTS = (
                  for case in ("non_number", "short_row"))),
     # --- what `plot` looks up instead of parsing: the text of the columns `run` wrote
     Mutant("record_keyed_by_file_path", "src/barriersmc/experiment.py",
-           "_WRITTEN[write_trajectory_csv(traj, path)] = _Written(**k)",
-           "_WRITTEN[path] = _Written(**k)\n        write_trajectory_csv(traj, path)",
+           "_WRITTEN[digest] = _Written(", "_WRITTEN[path] = _Written(",
            ("tests/test_cli.py::test_a_byte_copy_of_a_written_trajectory_is_looked_up",
             "tests/test_cli.py::test_run_never_tracebacks")),
     # a key by value takes -0.0 for 0.0: two columns that differ only in the
     # sign of a zero would share one text
     Mutant("column_text_keyed_by_value", "src/barriersmc/experiment.py",
-           "return hashlib.sha256(np.ascontiguousarray(col, dtype=np.float64)).digest()",
-           "return hash(tuple(col.tolist()))",
+           "hashlib.sha256(col[lo:lo + _CHUNK_ROWS]).digest()",
+           "hash(tuple(col[lo:lo + _CHUNK_ROWS].tolist()))",
            ("tests/test_experiment.py::TestRunBatch::"
             "test_columns_that_differ_only_in_the_sign_of_zero_keep_their_text",)),
+    # with no record there is nothing to look a chunk up in: hashing it is waste
+    Mutant("chunks_hashed_without_a_record", "src/barriersmc/experiment.py",
+           "_chunk_keys(c) if _TEXT else", "_chunk_keys(c) if True else",
+           ("tests/test_cli.py::test_with_nothing_recorded_plot_reads_each_file_once",)),
     # columns with two keys can still be equal: a figure from the record
     # must then pass the grid and disturbance checks, as the parsed files do
     Mutant("grid_check_compares_keys_not_values", "src/barriersmc/experiment.py",

@@ -53,12 +53,12 @@ Work split over the CPUs
 Four loops run through `_fork_map`, which splits its items into one
 contiguous share per CPU in the process's affinity mask, computes the
 first share itself and each other one in a forked child that pickles its
-results back: `run_batch` over its experiments, `_format_columns` over
+results back: `run_batch` over its experiments, `_format_chunks` over
 (column, 1000-row chunk) jobs, `emit_plot_data` over the trajectory files
-it parses and `sweep` over its grid points. `_format_columns` formats the
-distinct figure columns of a batch for `run_batch`, and the columns that
-the text record below does not hold for `write_trajectory_csv` and
-`emit_plot_data`. None of them runs inside another. A share under
+it parses and `sweep` over its grid points. `_format_chunks` formats the
+distinct chunks of a batch's figure columns for `run_batch`, and the
+chunks that the text record below does not hold for `write_trajectory_csv`
+and `emit_plot_data`. None of them runs inside another. A share under
 _FORK_MIN_SAMPLES samples (rows to parse, six values to format, or a call
 site's Euler steps per sample) stays in this process, and so does
 everything on a platform without `os.fork`. The results, and so every
@@ -79,30 +79,33 @@ number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
 
 Both writers build their rows from the text of whole columns, one string
-per 1000 values, and format each distinct such chunk of values once, so
-that columns which share a chunk share its string. `run_batch` keys
-every column by the sha256 of its float64 bytes, and formats each
-distinct column a figure can chart (FIGURE_COLUMNS) once for the batch:
-within a batch, `t` and a shared `d` are the same bytes in every
-experiment. It keeps that text in the module's `_TEXT`, and in `_WRITTEN`
-the sha256 of each trajectory CSV it wrote, with the keys of its figure
-columns. Each batch clears both before it writes, so they hold at most
-one batch: about 20 bytes of text per distinct value, and no floats.
-`write_trajectory_csv` takes the text of a column from `_TEXT` by its key
-and formats any other column, such as a clamped `u_commanded`, for that
-write only. `emit_plot_data` looks up the sha256 of each file it is given
-in `_WRITTEN` and parses only the misses: a file edited since, or one that
-cannot be read, is parsed and fails as before. A hit gives the text that
-a parse and a format would, since `%.17g` round-trips every double. The
-grid and disturbance checks take two equal keys as equal columns, and
-otherwise compare the floats, read back from the recorded text where
-needed, as they compare parsed ones. A figure made of hits formats
-nothing. `emit_plot_data` adds nothing to the record. While it is empty,
-as in a fresh `barriersmc plot` process, no file is hashed.
+per chunk of 1000 values, and format each distinct chunk once, keyed by
+the sha256 of its float64 bytes: columns that share a chunk share its
+string. `run_batch` keys every chunk of the trajectories it writes, and
+formats each distinct chunk of a column a figure can chart
+(FIGURE_COLUMNS) once for the batch: within a batch, `t` and a shared `d`
+are the same bytes in every experiment. It keeps that text in the
+module's `_TEXT`, chunk key -> string, and in `_WRITTEN` the sha256 of
+each trajectory CSV it wrote, with the chunk keys of its figure columns.
+Each batch clears both before it writes, so they hold at most one batch:
+about 20 bytes of text per distinct value, and no floats.
+`write_trajectory_csv` takes the text of a chunk from `_TEXT` by its key
+and formats any other chunk, such as one of a clamped `u_commanded`, for
+that write only. `emit_plot_data` looks up the sha256 of each file it is
+given in `_WRITTEN` and parses only the misses: a file edited since, or
+one that cannot be read, is parsed and fails as before. A hit gives the
+text that a parse and a format would, since `%.17g` round-trips every
+double. The grid and disturbance checks take two columns with equal keys
+as equal, and otherwise compare the floats, read back from the recorded
+text where needed, as they compare parsed ones. A figure made of hits
+formats nothing. `emit_plot_data` adds nothing to the record. While it is
+empty, as in a fresh `barriersmc plot` process, no file and no chunk is
+hashed, and every chunk is formatted.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -162,21 +165,21 @@ FIGURE_COLUMNS = ("t", "s", "gain", "u_applied", "d")  # what a figure can chart
 
 
 class _Written(NamedTuple):
-    """The figure columns of a trajectory CSV that `run_batch` wrote, as
-    the keys of their text in _TEXT."""
+    """The figure columns of a trajectory CSV that `run_batch` wrote, each
+    as the chunk keys of its text in _TEXT."""
 
-    t: bytes
-    s: bytes
-    gain: bytes
-    u_applied: bytes
-    d: bytes
+    t: Tuple[bytes, ...]
+    s: Tuple[bytes, ...]
+    gain: Tuple[bytes, ...]
+    u_applied: Tuple[bytes, ...]
+    d: Tuple[bytes, ...]
 
 
 # The record of the last `run_batch` of this process (see the module
-# docstring): the key of each distinct figure column it wrote -> its text,
-# one "\n"-joined string per _CHUNK_ROWS values; and the sha256 of each
-# trajectory CSV it wrote -> that file's figure columns.
-_TEXT: Dict[bytes, List[str]] = {}
+# docstring): the key of each distinct chunk of the figure columns it
+# wrote -> its text, one "\n"-joined string of _CHUNK_ROWS values; and the
+# sha256 of each trajectory CSV it wrote -> that file's figure columns.
+_TEXT: Dict[bytes, str] = {}
 _WRITTEN: Dict[bytes, _Written] = {}
 
 
@@ -550,10 +553,13 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
 
 # --- trajectory CSV --------------------------------------------------------
 
-def _key(col: np.ndarray) -> bytes:
-    """The sha256 of a column's float64 bytes: columns with one key have one text."""
+def _chunk_keys(col: np.ndarray) -> Tuple[bytes, ...]:
+    """The sha256 of the float64 bytes of each _CHUNK_ROWS values of a
+    column: chunks with one key have one text."""
     import hashlib  # here: importing the package does not pay for it
-    return hashlib.sha256(np.ascontiguousarray(col, dtype=np.float64)).digest()
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    return tuple(hashlib.sha256(col[lo:lo + _CHUNK_ROWS]).digest()
+                 for lo in range(0, len(col), _CHUNK_ROWS))
 
 
 def _chunk_text(job: Tuple[np.ndarray, int]) -> str:
@@ -564,43 +570,51 @@ def _chunk_text(job: Tuple[np.ndarray, int]) -> str:
     return "\n".join([FLOAT_FMT] * len(part)) % tuple(part)
 
 
-def _format_columns(cols: Sequence[np.ndarray]) -> List[List[str]]:
-    """The text of each column, as its `_chunk_text` strings. Each distinct
-    chunk of values is formatted once, in one `_fork_map` over (column,
-    chunk) jobs, and every column that holds it shares its string."""
-    chunks = [[(col, lo) for lo in range(0, len(col), _CHUNK_ROWS)] for col in cols]
-    keys = [[_key(col[lo:lo + _CHUNK_ROWS]) for col, lo in jobs] for jobs in chunks]
-    distinct = dict(zip(itertools.chain(*keys), itertools.chain(*chunks)))
-    values = sum(min(_CHUNK_ROWS, len(col) - lo) for col, lo in distinct.values())
-    text = dict(zip(distinct, _fork_map(_chunk_text, distinct.values(),
-                                        values // len(TRAJECTORY_COLUMNS))))
-    return [[text[k] for k in column] for column in keys]
+def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
+    """Key -> text of each distinct chunk of the float columns, keyed by
+    `keys`, that _TEXT does not hold: one `_fork_map` over (column, chunk)
+    jobs. Six values count as one sample."""
+    jobs = {}
+    for col, column_keys in zip(cols, keys):
+        if isinstance(col, np.ndarray):  # a column given as keys is recorded
+            jobs.update((k, (col, lo)) for k, lo in
+                        zip(column_keys, range(0, len(col), _CHUNK_ROWS)) if k not in _TEXT)
+    values = sum(min(_CHUNK_ROWS, len(col) - lo) for col, lo in jobs.values())
+    return dict(zip(jobs, _fork_map(_chunk_text, jobs.values(),
+                                    values // len(TRAJECTORY_COLUMNS))))
+
+
+def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[str]]:
+    """The text of each column, given as a float array or as the chunk keys
+    of its text in _TEXT, as its `_chunk_text` strings: the recorded chunks
+    from _TEXT, and each other distinct chunk formatted once, without
+    recording it. `keys` are the columns' `_chunk_keys`, where the caller
+    has them. While _TEXT is empty there is nothing to look up, and no chunk
+    is hashed: each one is formatted."""
+    if keys is None:
+        keys = [c if isinstance(c, tuple) else _chunk_keys(c) if _TEXT else
+                [(i, lo) for lo in range(0, len(c), _CHUNK_ROWS)]
+                for i, c in enumerate(cols)]
+    text = collections.ChainMap(_format_chunks(cols, keys), _TEXT)
+    return [[text[k] for k in column_keys] for column_keys in keys]
 
 
 def _floats(col) -> np.ndarray:
-    """A column given as a float array or as the key of its text in _TEXT."""
+    """A column given as a float array or as the chunk keys of its text in
+    _TEXT."""
     if isinstance(col, np.ndarray):
         return col
-    return np.array([float(v) for part in _TEXT[col] for v in part.split("\n")])
+    return np.array([float(v) for k in col for v in _TEXT[k].split("\n")])
 
 
 def _equal(a, b) -> bool:
-    """`np.array_equal` of two columns, each a float array or a key in
-    _TEXT. Equal keys need no floats: they stand for equal bytes, and the
-    t and d columns that `run_batch` records are finite."""
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b:
+    """`np.array_equal` of two columns, each a float array or the chunk
+    keys of its text in _TEXT. Equal keys need no floats: they stand for
+    equal bytes, and the t and d columns that `run_batch` records are
+    finite."""
+    if isinstance(a, tuple) and isinstance(b, tuple) and a == b:
         return True
     return np.array_equal(_floats(a), _floats(b))
-
-
-def _texts(cols: Sequence) -> List[List[str]]:
-    """The text of each column, given as a float array or as its key in
-    _TEXT: the recorded text where there is some, and each other distinct
-    column formatted here, once, without recording it."""
-    keys = [_key(c) if isinstance(c, np.ndarray) else c for c in cols]
-    fresh = {k: c for k, c in zip(keys, cols) if k not in _TEXT}
-    made = dict(zip(fresh, _format_columns(list(fresh.values()))))
-    return [_TEXT[k] if k in _TEXT else made[k] for k in keys]
 
 
 def _write_text(path, header: Sequence[str], texts: Sequence[List[str]]) -> bytes:
@@ -618,11 +632,24 @@ def _write_text(path, header: Sequence[str], texts: Sequence[List[str]]) -> byte
     return digest.digest()
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> bytes:
-    """Write the trajectory CSV; returns the sha256 of its bytes. A column
-    whose text the last `run_batch` recorded is not formatted again."""
+def _file_sha256(path) -> bytes:
+    """The sha256 of a file's bytes, read in blocks."""
+    import hashlib
+    digest = hashlib.sha256()
+    with open(path, "rb") as data:
+        for block in iter(lambda: data.read(1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def write_trajectory_csv(traj: Trajectory, path,
+                         keys: Optional[Sequence[Tuple[bytes, ...]]] = None) -> bytes:
+    """Write the trajectory CSV; returns the sha256 of its bytes. A chunk
+    whose text the last `run_batch` recorded is not formatted again; `keys`,
+    the `_chunk_keys` of the columns in TRAJECTORY_COLUMNS order, spare
+    hashing them again."""
     return _write_text(path, TRAJECTORY_COLUMNS,
-                       _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS]))
+                       _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS], keys))
 
 
 def _first_bad_line(lines: List[str], width: int) -> str:
@@ -807,12 +834,14 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
             written.append((r.trajectory, path))
         else:
             path.unlink(missing_ok=True)
-    keys = [{c: _key(getattr(traj, c)) for c in FIGURE_COLUMNS} for traj, _ in written]
-    distinct = {k[c]: getattr(traj, c) for (traj, _), k in zip(written, keys)
-                for c in FIGURE_COLUMNS}
-    _TEXT.update(zip(distinct, _format_columns(list(distinct.values()))))
+    keys = [{c: _chunk_keys(getattr(traj, c)) for c in TRAJECTORY_COLUMNS}
+            for traj, _ in written]
+    _TEXT.update(_format_chunks(
+        [getattr(traj, c) for traj, _ in written for c in FIGURE_COLUMNS],
+        [k[c] for k in keys for c in FIGURE_COLUMNS]))
     for (traj, path), k in zip(written, keys):
-        _WRITTEN[write_trajectory_csv(traj, path)] = _Written(**k)
+        digest = write_trajectory_csv(traj, path, [k[c] for c in TRAJECTORY_COLUMNS])
+        _WRITTEN[digest] = _Written(**{c: k[c] for c in FIGURE_COLUMNS})
     summary = BatchSummary(tuple(results))
     (out_dir / "summary.csv").write_text(summary_csv(summary))
     return summary
@@ -914,11 +943,9 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
             raise ConfigError(f"{f}: a comma in the file name would split its column")
     known = {}  # file -> its `_Written` figure columns, or its parsed trajectory
     if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
-        import hashlib
         for f in files:
             try:
-                with open(f, "rb") as data:
-                    known[f] = _WRITTEN[hashlib.file_digest(data, "sha256").digest()]
+                known[f] = _WRITTEN[_file_sha256(f)]
             except (OSError, KeyError):  # parsed below, which raises in file order
                 pass
     misses = [f for f in files if f not in known]

@@ -273,10 +273,10 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     for path in files:  # every trajectory CSV reads back as recorded
         parsed = read_trajectory_csv(path)
         entry = experiment._WRITTEN[hashlib.sha256(path.read_bytes()).digest()]
-        for c in experiment.FIGURE_COLUMNS:  # the key and the text of each figure column
-            key = experiment._key(getattr(parsed, c))
-            assert getattr(entry, c) == key, c
-            assert "\n".join(experiment._TEXT[key]) == "\n".join(
+        for c in experiment.FIGURE_COLUMNS:  # the keys and the text of each figure column
+            keys = experiment._chunk_keys(getattr(parsed, c))
+            assert getattr(entry, c) == keys, c
+            assert "\n".join(experiment._TEXT[k] for k in keys) == "\n".join(
                 "%.17g" % v for v in getattr(parsed, c).tolist()), c
 
 
@@ -738,10 +738,12 @@ def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypa
 
 
 def test_with_nothing_recorded_plot_reads_each_file_once(tmp_path, monkeypatch):
-    # as in a fresh `barriersmc plot` process: no file is read to be hashed
+    # as in a fresh `barriersmc plot` process: no file and no chunk is hashed
     out = run_small(tmp_path, SMALL + "\n" + SMALL.replace("[still]", "[other]"))
     monkeypatch.setattr(experiment, "_WRITTEN", {})
-    monkeypatch.setattr(hashlib, "file_digest", no_parse)
+    monkeypatch.setattr(experiment, "_TEXT", {})
+    monkeypatch.setattr(experiment, "_file_sha256", no_parse)
+    monkeypatch.setattr(experiment, "_chunk_keys", no_parse)
     parsed = []
     monkeypatch.setattr(experiment, "read_trajectory_csv",
                         lambda path: parsed.append(path) or read_trajectory_csv(path))

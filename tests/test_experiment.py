@@ -396,8 +396,8 @@ class TestRunBatch:
 
     def test_the_text_record_holds_the_last_batch_only(self, tmp_path):
         def figure_keys(summary):
-            return {experiment._key(getattr(r.trajectory, c))
-                    for r in summary.results for c in experiment.FIGURE_COLUMNS}
+            return {k for r in summary.results for c in experiment.FIGURE_COLUMNS
+                    for k in experiment._chunk_keys(getattr(r.trajectory, c))}
 
         out = tmp_path / "a"
         first = run_batch([quick_spec("one"), quick_spec("two", FixedSign(1.0))], out)
@@ -412,7 +412,7 @@ class TestRunBatch:
         assert (tmp_path / "fig.csv").read_text().splitlines()[0] == \
             "t,s_fresh,s_one,s_two,u_fresh,u_one,u_two,d"
         assert experiment._TEXT == text and experiment._WRITTEN == written
-        assert experiment._key(fresh.s) not in experiment._TEXT
+        assert not set(experiment._chunk_keys(fresh.s)) & set(experiment._TEXT)
         second = run_batch([quick_spec("four", sim=SimConfig(0.5, 1e-3, 0.2))], tmp_path / "b")
         assert set(experiment._TEXT) == figure_keys(second)
         assert not set(experiment._TEXT) & set(text)
@@ -572,7 +572,7 @@ class TestForkMap:
     def test_run_batch_forks_from_its_break_even(self, monkeypatch, tmp_path, cpus, forks,
                                                  steps, forked):
         cpus(2)
-        monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path: None)
+        monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path, keys: None)
         specs = [self.stretched(name, steps) for name in ("cc", "cv")]
         assert not run_batch(specs, tmp_path).any_diverged
         # `forked` to simulate, and one more to format the batch's 8 distinct
