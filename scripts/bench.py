@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the benchmark once and append its info and result lines to a JSON file.
 
-Runs `python3 benchmark/run.py ARGS` in a checkout of this repository (by
-default the one holding this script), echoes its standard output, and
-appends one record per workload run to the JSON list in OUT (created if
-missing):
+Runs the checkout's benchmark command, the `command` of its
+BENCHMARK.json (`python3 benchmark/run.py`), with ARGS appended, in a
+checkout of this repository (by default the one holding this script),
+echoes its standard output, and appends one record per workload run to
+the JSON list in OUT (created if missing):
 
     {"label": LABEL, "args": ARGS, "info": {...}, "result": {...}}
 
@@ -37,8 +38,9 @@ def main(argv=None) -> int:
                     help="repository checkout whose benchmark to run")
     ap.add_argument("args", nargs="*", help="arguments for benchmark/run.py (after --)")
     opts = ap.parse_args(argv)
-    proc = subprocess.run([sys.executable, "benchmark/run.py", *opts.args],
-                          cwd=opts.checkout, stdout=subprocess.PIPE, text=True)
+    command = json.loads((opts.checkout / "BENCHMARK.json").read_text())["command"]
+    proc = subprocess.run([*command, *opts.args], cwd=opts.checkout,
+                          stdout=subprocess.PIPE, text=True)
     sys.stdout.write(proc.stdout)
     lines = proc.stdout.splitlines()
     new = [{"label": opts.label, "args": opts.args, **json.loads(info),

@@ -160,6 +160,16 @@ MUTANTS = (
     Mutant("settled_peak_gain_reads_the_whole_record", "src/barriersmc/analysis.py",
            "mask = traj.t >= t_conv + SETTLE_PAD", "mask = traj.t >= traj.t[0]",
            ("tests/test_acceptance.py::test_criterion_6_no_overestimation",)),
+    # a converged run still lists its escapes: the relay of criterion 5 has six
+    Mutant("converged_escapes_never_reenter", "src/barriersmc/analysis.py",
+           "zip_longest(times[0::2], times[1::2])", "zip_longest(times[0::2], ())",
+           ("tests/test_acceptance.py::test_criterion_5_saturation_contrast",)),
+    # the criteria read the report `run_experiment` made, at the spec's own band
+    Mutant("report_at_another_band", "src/barriersmc/experiment.py",
+           "analysis.convergence_time(traj, spec.sigma_target)",
+           "analysis.convergence_time(traj, 2 * spec.sigma_target)",
+           ("tests/test_acceptance.py::test_criterion_1_ultimate_bounds",
+            "tests/test_acceptance.py::test_criterion_5_saturation_contrast")),
 )
 
 

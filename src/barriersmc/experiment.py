@@ -669,8 +669,8 @@ def _first_bad_line(lines: List[str], width: int) -> str:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Rebuild a bare trajectory (no simulation metadata) from a CSV in the
-    format `write_trajectory_csv` writes; any other file is a ConfigError."""
+    """Rebuild a trajectory from a CSV in the format
+    `write_trajectory_csv` writes; any other file is a ConfigError."""
     header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
     try:  # ConfigError and UnicodeDecodeError are ValueErrors: both get the path
         lines = Path(path).read_text().splitlines()
@@ -698,7 +698,7 @@ class ExperimentResult:
     trajectory: Optional[Trajectory]
     report: Optional[analysis.ConvergenceReport]
     gain_max_post: Optional[float]
-    chatter: Optional[analysis.ChatteringReport]
+    total_variation: Optional[float]
     failures: Tuple[str, ...]
     error: Optional[str] = None
 
@@ -775,15 +775,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if spec.sigma_target is not None:
         report = analysis.convergence_time(traj, spec.sigma_target)
         if report.t_conv is not None:
-            peak = analysis.settled_peak_gain(traj, report.t_conv)
-            gain_max_post = None if peak is None else peak[1]
+            gain_max_post = analysis.settled_peak_gain(traj, report.t_conv)
     t0, t1 = spec.chatter_window or analysis.default_chatter_window(traj)
     try:  # over the samples in [t0, t1], the last of which may lie before t1
-        chatter = analysis.total_variation(traj, (t0, min(t1, float(traj.t[-1]))))
+        tv = analysis.total_variation(traj, (t0, min(t1, float(traj.t[-1]))))
     except ValueError:  # fewer than two samples in the window: no total variation
-        chatter = None
+        tv = None
     failures = _check_expectations(spec, traj, report, gain_max_post)
-    return ExperimentResult(spec, traj, report, gain_max_post, chatter, failures)
+    return ExperimentResult(spec, traj, report, gain_max_post, tv, failures)
 
 
 def _fmt_opt(v: Optional[float]) -> str:
@@ -803,7 +802,7 @@ def summary_csv(summary: BatchSummary) -> str:
             _fmt_opt(rep.sigma_target if rep else None),
             _fmt_opt(rep.sigma_measured if rep else None),
             _fmt_opt(r.gain_max_post),
-            _fmt_opt(r.chatter.total_variation if r.chatter else None),
+            _fmt_opt(r.total_variation),
             status,
             (detail or "").replace(",", ";"),
         ]))

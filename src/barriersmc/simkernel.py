@@ -92,7 +92,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.controllers import Controller, ControllerSpec
+from barriersmc.controllers import Controller
 from barriersmc.gains import BarrierPoleError
 
 
@@ -295,9 +295,6 @@ class Trajectory:
     u_applied: np.ndarray
     gain: np.ndarray
     d: np.ndarray
-    config: Optional[SimConfig] = None
-    controller: Optional[ControllerSpec] = None
-    disturbance: Optional[DisturbanceSpec] = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -338,7 +335,7 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
         return Trajectory(np.arange(k) * cfg.h, s, u,
                           u.copy() if lim is None else np.minimum(np.maximum(u, -lim), lim),
                           np.abs(u) if relay else np.frombuffer(records[2], count=k),
-                          np.frombuffer(column, count=k).copy(), cfg, c.spec, d)
+                          np.frombuffer(column, count=k).copy())
 
     def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
         """The divergence at the first non-finite state or control of steps

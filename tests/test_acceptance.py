@@ -81,7 +81,8 @@ def test_criterion_1_ultimate_bounds(sec7):
     ok = True
     details = []
     for name, res in sec7.items():
-        rep = analysis.convergence_time(res.trajectory, BAND)
+        assert res.spec.sigma_target == BAND, name
+        rep = res.report
         good = rep.t_conv is not None and rep.sigma_measured <= BAND
         ok = ok and good
         details.append(f"{name}: t_conv={rep.t_conv}, sigma={rep.sigma_measured:.3e}")
@@ -97,14 +98,17 @@ def test_criterion_2_closed_form_bounds():
 
 
 def test_criterion_3_convex_converges_faster(sec7):
+    # same plant run and disturbance, gains that meet at the band K_cv^{-1}(d_bar)
     cc, cv = sec7["cc"], sec7["cv"]
+    assert cc.spec.sim == cv.spec.sim and cc.spec.disturbance == cv.spec.disturbance
+    assert cc.spec.sigma_target == cv.spec.sigma_target == BAND
     sigma_c = gain_inverse(cv.spec.controller.law, D_BAR)
     k_cc = eval_gain(cc.spec.controller.law, sigma_c)
     k_cv = eval_gain(cv.spec.controller.law, sigma_c)
-    premise = abs(k_cc - k_cv) <= 0.01 * max(k_cc, k_cv)
-    res = analysis.compare_convergence(cv.trajectory, cc.trajectory, BAND)
-    ok = premise and res.faster == "first"
-    verdict(3, ok, f"t_cv={res.t_conv_first}, t_cc={res.t_conv_second}")
+    assert abs(k_cc - k_cv) <= 0.01 * max(k_cc, k_cv), (k_cc, k_cv)
+    t_cv, t_cc = cv.report.t_conv, cc.report.t_conv
+    ok = t_cv is not None and (t_cc is None or t_cv < t_cc)
+    verdict(3, ok, f"t_cv={t_cv}, t_cc={t_cc}")
 
 
 def test_criterion_4_prescribed_time(sec7):
@@ -117,15 +121,19 @@ def test_criterion_4_prescribed_time(sec7):
 
 
 def test_criterion_5_saturation_contrast(sec3):
-    obeid = analysis.convergence_time(sec3["obeid"].trajectory, 0.1)
+    for res in sec3.values():
+        assert res.spec.sigma_target == 0.1, res.spec.name
+    obeid = sec3["obeid"].report
     kinf = sec3["kinf_cc"]
-    kinf_rep = analysis.convergence_time(kinf.trajectory, 0.1)
+    kinf_rep = kinf.report
     obeid_ok = (obeid.t_conv is None and obeid.escapes
                 and obeid.escapes[-1][1] is None)
+    reentered = sum(reentry is not None for _, reentry in kinf_rep.escapes)
     kinf_ok = (abs(float(kinf.trajectory.s[-1])) <= 0.1
-               and all(reentry is not None for _, reentry in kinf_rep.escapes))
+               and 0 < reentered == len(kinf_rep.escapes))
     verdict(5, bool(obeid_ok and kinf_ok),
-            f"obeid escapes={obeid.escapes}, kinf final "
+            f"obeid escapes={obeid.escapes}, kinf escapes re-entered "
+            f"{reentered} of {len(kinf_rep.escapes)}, kinf final "
             f"|s|={abs(float(kinf.trajectory.s[-1])):.3g}")
 
 
@@ -143,17 +151,17 @@ def test_criterion_6_no_overestimation(sec7):
 
 def test_criterion_7_chattering_mitigated(sec7, relay_baseline):
     window = (8.0, 10.0)
-    tv_cv = analysis.total_variation(sec7["cv"].trajectory, window).total_variation
-    tv_relay = analysis.total_variation(relay_baseline, window).total_variation
+    tv_cv = analysis.total_variation(sec7["cv"].trajectory, window)
+    tv_relay = analysis.total_variation(relay_baseline, window)
     ok = tv_cv < 0.05 * tv_relay
     verdict(7, ok, f"TV barrier={tv_cv:.3f}, TV relay={tv_relay:.1f}")
 
 
 def test_criterion_8_saturated_time_bound(sec7):
-    sat = sec7["sat"]
+    sat, cv = sec7["sat"], sec7["cv"]
+    assert sat.spec.sigma_target == cv.spec.sigma_target == BAND
     bound = analysis.sat_time_bound(1.0, sat.spec.controller.law, 5.0, D_BAR)
-    rep = analysis.convergence_time(sat.trajectory, BAND)
-    cv_rep = analysis.convergence_time(sec7["cv"].trajectory, BAND)
+    rep, cv_rep = sat.report, cv.report
     ok = (rep.t_conv is not None and rep.t_conv <= bound + 0.1
           and abs(rep.sigma_measured - cv_rep.sigma_measured) <= SLACK)
     verdict(8, ok, f"t_conv={rep.t_conv}, bound={bound:.3f}, "

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,27 +5,17 @@ from hypothesis import given, settings, strategies as st
 from barriersmc import analysis
 from barriersmc.analysis import (
     AssumptionViolatedError,
-    InvalidComparisonError,
-    compare_convergence,
     convergence_time,
     sat_time_bound,
     total_variation,
 )
-from barriersmc.controllers import Controller, KInfty
 from barriersmc.gains import (
     ConcaveParams,
     ConvexParams,
     PsbParams,
     UnsupportedVariantError,
 )
-from barriersmc.simkernel import (
-    DisturbanceSpec,
-    PiecewiseVII,
-    SimConfig,
-    Sinusoid,
-    Trajectory,
-    simulate,
-)
+from barriersmc.simkernel import Trajectory
 
 CV = ConvexParams(5.0, 0.05)
 CC = ConcaveParams(1.0, 0.01366)
@@ -53,7 +41,7 @@ class TestConvergenceTime:
         rep = convergence_time(make_traj([1.0, 0.5, 0.05, 0.2, 0.05, 0.01]), 0.1)
         assert rep.t_conv == pytest.approx(0.4)
         assert rep.sigma_measured == pytest.approx(0.05)
-        assert rep.escapes == ()
+        assert rep.escapes == ((pytest.approx(0.3), pytest.approx(0.4)),)
 
     def test_no_convergence_with_open_escape(self):
         rep = convergence_time(make_traj([1.0, 0.05, 0.3, 0.04, 0.5, 0.6]), 0.1)
@@ -86,6 +74,20 @@ class TestConvergenceTime:
             assert large.t_conv is not None
             assert large.t_conv <= small.t_conv
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1,
+                    max_size=50),
+           st.floats(min_value=0.01, max_value=1.0))
+    def test_escapes_alternate_and_only_the_last_can_stay_open(self, samples, sigma):
+        rep = convergence_time(make_traj(samples), sigma)
+        times = [t for escape in rep.escapes for t in escape if t is not None]
+        assert times == sorted(set(times))
+        open_ = [reentry is None for _, reentry in rep.escapes]
+        assert not any(open_[:-1])
+        assert (rep.t_conv is None) == (any(open_) or rep.sigma_measured > sigma)
+        if rep.t_conv is not None and rep.escapes:
+            assert rep.escapes[-1][1] == rep.t_conv
+
     def test_measured_within_target_when_converged(self):
         rep = convergence_time(make_traj([1.0, 0.08, 0.09]), 0.1)
         assert rep.t_conv is not None
@@ -95,19 +97,19 @@ class TestConvergenceTime:
 class TestTotalVariation:
     def test_constant(self):
         traj = make_traj([0.0] * 10, u=[1.0] * 10)
-        assert total_variation(traj, (0.0, 0.9)).total_variation == 0.0
+        assert total_variation(traj, (0.0, 0.9)) == 0.0
 
     def test_triangle(self):
         traj = make_traj([0.0] * 3, u=[0.0, 1.0, 0.0])
-        assert total_variation(traj, (0.0, 0.2)).total_variation == 2.0
+        assert total_variation(traj, (0.0, 0.2)) == 2.0
 
     def test_additive_over_adjacent_windows(self):
         rng = np.random.default_rng(7)
         u = rng.normal(size=101)
         traj = make_traj(np.zeros(101), u=u)
-        whole = total_variation(traj, (0.0, 10.0)).total_variation
-        left = total_variation(traj, (0.0, 5.0)).total_variation
-        right = total_variation(traj, (5.0, 10.0)).total_variation
+        whole = total_variation(traj, (0.0, 10.0))
+        left = total_variation(traj, (0.0, 5.0))
+        right = total_variation(traj, (5.0, 10.0))
         assert whole == pytest.approx(left + right, rel=1e-12)
 
     def test_bad_windows(self):
@@ -141,40 +143,6 @@ class TestSatTimeBound:
 
     def test_sign_of_s0_irrelevant(self):
         assert sat_time_bound(-1.0, CV, 5.0, 0.2) == sat_time_bound(1.0, CV, 5.0, 0.2)
-
-
-class TestCompareConvergence:
-    D = DisturbanceSpec(PiecewiseVII(), 0.2)
-    CFG = SimConfig(1.0, 1e-3, 6.0)
-
-    def test_identical_runs_tie(self):
-        a = simulate(Controller(KInfty(CV)), self.D, self.CFG)
-        b = simulate(Controller(KInfty(CV)), self.D, self.CFG)
-        res = compare_convergence(a, b, 3.52e-3)
-        assert res.faster == "tie"
-        assert res.t_conv_first == res.t_conv_second
-
-    def test_mismatched_bounds_rejected(self):
-        a = simulate(Controller(KInfty(CV)), self.D, self.CFG)
-        b = simulate(Controller(KInfty(ConvexParams(5.0, 0.1))), self.D, self.CFG)
-        with pytest.raises(InvalidComparisonError):
-            compare_convergence(a, b, 3.52e-3)
-
-    def test_mismatched_setup_rejected(self):
-        a = simulate(Controller(KInfty(CV)), self.D, self.CFG)
-        b = simulate(Controller(KInfty(CV)), self.D, SimConfig(0.5, 1e-3, 6.0))
-        with pytest.raises(InvalidComparisonError):
-            compare_convergence(a, b, 3.52e-3)
-
-    def test_doubled_band_still_well_defined(self):
-        a = simulate(Controller(KInfty(CV)), self.D, self.CFG)
-        res = compare_convergence(a, a, 2 * 3.52e-3)
-        assert res.faster == "tie"
-
-    def test_metadata_required(self):
-        bare = make_traj([0.0, 0.0])
-        with pytest.raises(InvalidComparisonError):
-            compare_convergence(bare, bare, 0.1)
 
 
 def test_intersection_premise_of_benchmark_laws():

@@ -48,17 +48,22 @@ def test_loc_counts_the_code_lines_of_each_module(tmp_path, capsys):
 
 STUB = '''import json, sys
 for name in ("replay", "sweep"):
-    print(json.dumps({"info": {"workload": name, "argv": sys.argv[1:]}}))
+    print(json.dumps({"info": {"workload": name, "argv": sys.argv}}))
     print(json.dumps({"op_ms_p50": len(name)}))
 sys.exit(CODE)
 '''
 
 
+# the command names an argument of its own, so the run shows where it came from
+COMMAND = ["python3", "benchmark/run.py", "--from-benchmark-json"]
+
+
 def checkout(tmp_path, code):
-    """A directory whose benchmark/run.py prints two info/result pairs,
-    then exits with `code`."""
+    """A directory whose BENCHMARK.json runs benchmark/run.py, which prints
+    two info/result pairs, then exits with `code`."""
     (tmp_path / "benchmark").mkdir()
     (tmp_path / "benchmark" / "run.py").write_text(STUB.replace("CODE", str(code)))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"command": COMMAND}))
     return tmp_path
 
 
@@ -73,8 +78,9 @@ def test_bench_appends_one_record_per_workload(tmp_path, capsys):
     out.write_text('[{"label": "parent"}]\n')
     assert bench_main(tmp_path, out, 0) == 0
     args = ["--workload", "all", "--seconds", "1"]
+    argv = [*COMMAND[1:], *args]  # what the stub saw: the command, then the arguments
     assert json.loads(out.read_text()) == [{"label": "parent"}] + [
-        {"label": "change", "args": args, "info": {"workload": name, "argv": args},
+        {"label": "change", "args": args, "info": {"workload": name, "argv": argv},
          "result": {"op_ms_p50": len(name)}}
         for name in ("replay", "sweep")]
     assert capsys.readouterr().out.count('{"info": ') == 2  # the output is echoed

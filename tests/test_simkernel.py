@@ -244,8 +244,7 @@ def _reference_simulate(c, d, cfg):
 
     def partial(k):
         return Trajectory(t[:k], s_rec[:k].copy(), u_cmd[:k].copy(),
-                          u_app[:k].copy(), g_rec[:k].copy(), d_rec[:k].copy(),
-                          cfg, c.spec, d)
+                          u_app[:k].copy(), g_rec[:k].copy(), d_rec[:k].copy())
 
     control, signal = c.control, d.signal
     s = cfg.s0
@@ -278,7 +277,7 @@ def _reference_simulate(c, d, cfg):
         if k < n:
             s = s + cfg.h * (ua + dk)
 
-    return Trajectory(t, s_rec, u_cmd, u_app, g_rec, d_rec, cfg, c.spec, d)
+    return Trajectory(t, s_rec, u_cmd, u_app, g_rec, d_rec)
 
 
 COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
