@@ -36,6 +36,7 @@ PINS = "tests/test_variant_pins.py::test_variant_trajectory_bytes"
 ORACLE = "tests/test_simkernel.py::test_simulate_matches_reference"
 EDGE = "tests/test_simkernel.py::test_simulate_matches_reference_on_edge_cases"
 MESSAGE = "tests/test_experiment.py::test_config_reader_message"
+ROWS = "tests/test_experiment.py::TestTrajectoryCsv::test_rows_are_the_row_template_rows"
 TBG_TESTS = (ORACLE, EDGE, f"{PINS}[tbg-concave-piecewise_vii]",
              f"{PINS}[tbg-convex-piecewise_vii]", f"{PINS}[tbg-convex-sinusoid]",
              "tests/test_controllers.py::"
@@ -67,6 +68,11 @@ MUTANTS = (
            "part = (col[lo:lo + _CHUNK_ROWS] + 0.0).tolist()",
            ("tests/test_experiment.py::TestTrajectoryCsv::"
             "test_byte_format_and_bitwise_round_trip",)),
+    # a field must hold the widest %.17g text of a double, 24 bytes
+    Mutant("field_narrower_than_the_widest_double", "src/barriersmc/experiment.py",
+           "_WIDTH = 24", "_WIDTH = 23", (ROWS,)),
+    Mutant("last_column_ends_in_a_comma", "src/barriersmc/experiment.py",
+           'cells[:, -1, _WIDTH] = ord("\\n")', 'cells[:, -1, _WIDTH] = ord(",")', (ROWS,)),
     Mutant("relay_sign_as_copysign", "src/barriersmc/simkernel.py",
            "u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0", "u = -math.copysign(g, s)",
            (ORACLE, f"{EDGE}[kinfty_concave_s0_-0]", f"{EDGE}[kinfty_convex_s0_-0]",

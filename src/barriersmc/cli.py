@@ -17,6 +17,7 @@ two samples leaves the run's total_variation cell empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+@functools.cache  # built on the first `main` call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barriersmc",

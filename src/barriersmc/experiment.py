@@ -78,17 +78,23 @@ column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
 
-Both writers build their rows from the text of whole columns, one string
+Both writers build their rows from the text of whole columns, one `bytes`
 per chunk of 1000 values, and format each distinct chunk once, keyed by
 the sha256 of its float64 bytes: columns that share a chunk share its
-string. `run_batch` keys every chunk of the trajectories it writes, and
-formats each distinct chunk of a column a figure can chart
+text. A chunk's text is a run of fixed-width fields, each value's `%.17g`
+text padded with spaces to _WIDTH (24) bytes, the longest that text is
+for any double. A writer copies the fields of a chunk of rows into one
+uint8 array, a separator after each field (`,`, or `\n` after the last
+column), drops the padding with one mask and writes the bytes in binary
+mode, the header in the encoding text mode would use: no Python object
+per value. `run_batch` keys every chunk of the trajectories it writes,
+and formats each distinct chunk of a column a figure can chart
 (FIGURE_COLUMNS) once for the batch: within a batch, `t` and a shared `d`
 are the same bytes in every experiment. It keeps that text in the
-module's `_TEXT`, chunk key -> string, and in `_WRITTEN` the sha256 of
+module's `_TEXT`, chunk key -> bytes, and in `_WRITTEN` the sha256 of
 each trajectory CSV it wrote, with the chunk keys of its figure columns.
 Each batch clears both before it writes, so they hold at most one batch:
-about 20 bytes of text per distinct value, and no floats.
+24 bytes of text per distinct value, and no floats.
 `write_trajectory_csv` takes the text of a chunk from `_TEXT` by its key
 and formats any other chunk, such as one of a clamped `u_commanded`, for
 that write only. `emit_plot_data` looks up the sha256 of each file it is
@@ -106,13 +112,13 @@ hashed, and every chunk is formatted.
 from __future__ import annotations
 
 import collections
-import itertools
+import locale
 import math
 import os
 import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,7 +164,11 @@ FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 _FORK_MIN_SAMPLES = 5000
 _SWEEP_STEPS_PER_SAMPLE = 2
 _RUN_STEPS_PER_SAMPLE = 3
-_CHUNK_ROWS = 1000  # values per string of column text, and rows per write
+_CHUNK_ROWS = 1000  # values per chunk of column text, and rows per write
+# bytes of a field of column text: the longest FLOAT_FMT text of a double,
+# such as -2.2250738585072014e-308, so every value fits its field
+_WIDTH = 24
+_FIELD_FMT = f"%-{_WIDTH}.17g"  # FLOAT_FMT, padded with spaces to _WIDTH bytes
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
 FIGURE_COLUMNS = ("t", "s", "gain", "u_applied", "d")  # what a figure can chart
@@ -177,9 +187,9 @@ class _Written(NamedTuple):
 
 # The record of the last `run_batch` of this process (see the module
 # docstring): the key of each distinct chunk of the figure columns it
-# wrote -> its text, one "\n"-joined string of _CHUNK_ROWS values; and the
-# sha256 of each trajectory CSV it wrote -> that file's figure columns.
-_TEXT: Dict[bytes, str] = {}
+# wrote -> its `_chunk_text`; and the sha256 of each trajectory CSV it
+# wrote -> that file's figure columns.
+_TEXT: Dict[bytes, bytes] = {}
 _WRITTEN: Dict[bytes, _Written] = {}
 
 
@@ -270,11 +280,18 @@ def _fork_map(fn, items, samples: int) -> list:
         ends = []
         for pid, r in children:
             with os.fdopen(r, "rb") as pipe:
-                ends.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
-    for pid, data, status in ends:
-        if status or not data:
+                try:  # as it arrives: the pickled bytes are never held whole
+                    out = pickle.load(pipe)
+                except Exception as exc:  # raised below, once every child is reaped
+                    out = exc
+                pipe.read()
+                ends.append((pid, out, os.waitpid(pid, 0)[1]))
+    for pid, out, status in ends:
+        if status or isinstance(out, EOFError):  # EOFError: the child wrote nothing
             raise RuntimeError(f"worker {pid} ended without a result (wait status {status})")
-        tag, value = pickle.loads(data)
+        if isinstance(out, Exception):
+            raise out
+        tag, value = out
         if tag == "err":
             raise value
         results += value
@@ -562,12 +579,12 @@ def _chunk_keys(col: np.ndarray) -> Tuple[bytes, ...]:
                  for lo in range(0, len(col), _CHUNK_ROWS))
 
 
-def _chunk_text(job: Tuple[np.ndarray, int]) -> str:
-    """The _CHUNK_ROWS values of a column from row `lo` on, as FLOAT_FMT
-    text joined by "\n"."""
+def _chunk_text(job: Tuple[np.ndarray, int]) -> bytes:
+    """The _CHUNK_ROWS values of a column from row `lo` on, each in a field
+    of _FIELD_FMT text, _WIDTH bytes long."""
     col, lo = job
     part = col[lo:lo + _CHUNK_ROWS].tolist()
-    return "\n".join([FLOAT_FMT] * len(part)) % tuple(part)
+    return (_FIELD_FMT * len(part) % tuple(part)).encode("ascii")
 
 
 def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
@@ -584,9 +601,9 @@ def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
                                     values // len(TRAJECTORY_COLUMNS))))
 
 
-def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[str]]:
+def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[bytes]]:
     """The text of each column, given as a float array or as the chunk keys
-    of its text in _TEXT, as its `_chunk_text` strings: the recorded chunks
+    of its text in _TEXT, as its `_chunk_text` chunks: the recorded chunks
     from _TEXT, and each other distinct chunk formatted once, without
     recording it. `keys` are the columns' `_chunk_keys`, where the caller
     has them. While _TEXT is empty there is nothing to look up, and no chunk
@@ -604,7 +621,7 @@ def _floats(col) -> np.ndarray:
     _TEXT."""
     if isinstance(col, np.ndarray):
         return col
-    return np.array([float(v) for k in col for v in _TEXT[k].split("\n")])
+    return np.array([float(v) for k in col for v in _TEXT[k].split()])
 
 
 def _equal(a, b) -> bool:
@@ -617,19 +634,20 @@ def _equal(a, b) -> bool:
     return np.array_equal(_floats(a), _floats(b))
 
 
-def _write_text(path, header: Sequence[str], texts: Sequence[List[str]]) -> bytes:
-    """Write columns of equal length, given as their `_chunk_text` strings,
-    as CSV rows under the header, one chunk of rows at a time, and return
-    the sha256 of the bytes written."""
-    import hashlib
-    rows = ("\n".join(map(",".join, zip(*(part.split("\n") for part in parts)))) + "\n"
-            for parts in zip(*texts))
-    digest = hashlib.sha256()
-    with open(path, "w") as out:  # text mode on POSIX writes each "\n" as it is
-        for part in itertools.chain([",".join(header) + "\n"], rows):
-            out.write(part)
-            digest.update(part.encode(out.encoding))
-    return digest.digest()
+def _csv_bytes(header: Sequence[str], texts: Sequence[List[bytes]]) -> Iterator[bytes]:
+    """The CSV text of columns of equal length, given as their `_chunk_text`
+    chunks, under the header: the header line, in the encoding that text
+    mode writes, then the rows of each chunk. A row's fields sit in one
+    array with their padding and a separator each, and dropping the padding
+    leaves the rows: no Python object is made per value."""
+    yield (",".join(header) + "\n").encode(locale.getpreferredencoding(False))
+    for parts in zip(*texts):
+        cells = np.empty((len(parts[0]) // _WIDTH, len(parts), _WIDTH + 1), np.uint8)
+        for i, part in enumerate(parts):
+            cells[:, i, :_WIDTH] = np.frombuffer(part, np.uint8).reshape(-1, _WIDTH)
+        cells[:, :, _WIDTH] = ord(",")
+        cells[:, -1, _WIDTH] = ord("\n")
+        yield cells[cells != ord(" ")].tobytes()
 
 
 def _file_sha256(path) -> bytes:
@@ -648,8 +666,14 @@ def write_trajectory_csv(traj: Trajectory, path,
     whose text the last `run_batch` recorded is not formatted again; `keys`,
     the `_chunk_keys` of the columns in TRAJECTORY_COLUMNS order, spare
     hashing them again."""
-    return _write_text(path, TRAJECTORY_COLUMNS,
-                       _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS], keys))
+    import hashlib
+    texts = _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS], keys)
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        for part in _csv_bytes(TRAJECTORY_COLUMNS, texts):
+            out.write(part)
+            digest.update(part)
+    return digest.digest()
 
 
 def _first_bad_line(lines: List[str], width: int) -> str:
@@ -969,4 +993,6 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     if figure == "escape":
         header.append("d")
         cols.append(first.d)
-    _write_text(out_path, header, _texts(cols))
+    texts = _texts(cols)
+    with open(out_path, "wb") as out:
+        out.writelines(_csv_bytes(header, texts))

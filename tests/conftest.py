@@ -1,4 +1,5 @@
-"""Fixtures that control how `experiment._fork_map` splits its work."""
+"""Fixtures that control how `experiment._fork_map` splits its work, and
+the reference CSV writer that the writers' bytes are compared with."""
 
 import os
 import signal
@@ -47,3 +48,16 @@ def forks(monkeypatch):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def row_template_csv():
+    """`row_template_csv(path, header, cols)` writes float columns as CSV in
+    text mode, each row formatted by one `",".join(["%.17g"] * k) + "\\n"`
+    template: the reference for the bytes that the program's writers write."""
+    def write(path, header, cols):
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        with open(path, "w") as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(row % values for values in zip(*(c.tolist() for c in cols)))
+    return write

@@ -276,8 +276,8 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
         for c in experiment.FIGURE_COLUMNS:  # the keys and the text of each figure column
             keys = experiment._chunk_keys(getattr(parsed, c))
             assert getattr(entry, c) == keys, c
-            assert "\n".join(experiment._TEXT[k] for k in keys) == "\n".join(
-                "%.17g" % v for v in getattr(parsed, c).tolist()), c
+            assert b"".join(experiment._TEXT[k] for k in keys) == "".join(
+                "%-24.17g" % v for v in getattr(parsed, c).tolist()).encode(), c
 
 
 @settings(deadline=None, max_examples=100)
@@ -794,6 +794,28 @@ def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeyp
     if code == cli.EXIT_CONFIG:
         assert got[1] == ("configuration error: time grid of 'still' does not match; "
                           "no resampling\n")
+
+
+def test_a_non_ascii_name_is_written_as_text_mode_writes_it(tmp_path, monkeypatch,
+                                                            row_template_csv):
+    # the name reaches the figure's header, which is encoded as text mode encodes it
+    out = run_small(tmp_path, SMALL.replace("[still]", "[σ_cc]"))
+    traj, expected = read_trajectory_csv(out / "σ_cc.csv"), tmp_path / "expected.csv"
+    row_template_csv(expected, TRAJECTORY_COLUMNS, [getattr(traj, c) for c in TRAJECTORY_COLUMNS])
+    assert (out / "σ_cc.csv").read_bytes() == expected.read_bytes()
+    figures = []
+    for recorded in (True, False):
+        with monkeypatch.context() as m:
+            if recorded:
+                m.setattr(experiment, "read_trajectory_csv", no_parse)
+            else:  # as a new `plot` process, which has no record
+                m.setattr(experiment, "_WRITTEN", {})
+                m.setattr(experiment, "_TEXT", {})
+            assert cli.main(["plot", str(out), "--figure", "escape"]) == cli.EXIT_OK
+        figures.append((out / "fig_escape.csv").read_bytes())
+    row_template_csv(expected, ["t", "s_σ_cc", "u_σ_cc", "d"],
+                     [traj.t, traj.s, traj.u_applied, traj.d])
+    assert figures == [expected.read_bytes()] * 2 and "σ".encode() in figures[0]
 
 
 def test_an_unreadable_file_is_named_as_the_parse_names_it(tmp_path):

@@ -5,11 +5,12 @@ import math
 import os
 import pickle
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from barriersmc import analysis, cli, controllers, experiment, gains, simkernel
@@ -329,6 +330,41 @@ class TestTrajectoryCsv:
             ",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
         assert csv_path.read_text() == expected
         assert_columns_bitwise_equal(read_trajectory_csv(csv_path), traj)
+
+    # any 64-bit pattern, so every NaN payload and subnormal too
+    @given(st.floats() | st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+    @example(0.0)
+    @example(-0.0)
+    def test_every_double_fills_one_field(self, x):
+        text = "%.17g" % x
+        field = experiment._FIELD_FMT % x
+        assert len(text) <= experiment._WIDTH and len(field) == experiment._WIDTH
+        assert " " not in field.rstrip(" ") and field.rstrip(" ") == text
+
+    # the longest %.17g texts of a double, 24 bytes, and -0.0
+    WIDEST = (-2.2250738585072014e-308, -4.9406564584124654e-324,
+              -1.7976931348623157e+308, -0.0)
+
+    @pytest.mark.parametrize("rows", [1, 2 * experiment._CHUNK_ROWS + 500],
+                             ids=["one_row", "partial_last_chunk"])
+    def test_rows_are_the_row_template_rows(self, tmp_path, row_template_csv, rows):
+        bits = np.random.default_rng(rows).integers(0, 2 ** 64, (6, rows), np.uint64,
+                                                    endpoint=False)
+        cols = bits.view(np.float64)  # every kind of double, NaN included
+        cols[:4, 0] = cols[:4, -1] = self.WIDEST
+        cols[4:, -1] = self.WIDEST[:2]  # a last row of widest values only
+        traj, expected = Trajectory(*cols), tmp_path / "expected.csv"
+        row_template_csv(expected, TRAJECTORY_COLUMNS, cols)
+        p = tmp_path / "t.csv"
+        digest = write_trajectory_csv(traj, p)
+        assert p.read_bytes() == expected.read_bytes()
+        assert digest == hashlib.sha256(p.read_bytes()).digest()
+        for k in (1, 3):  # figures have other column counts
+            row_template_csv(expected, TRAJECTORY_COLUMNS[:k], cols[:k])
+            assert b"".join(experiment._csv_bytes(
+                TRAJECTORY_COLUMNS[:k], experiment._texts(list(cols[:k])))) == (
+                    expected.read_bytes())
 
     def test_rejects_foreign_csv(self, tmp_path):
         p = tmp_path / "x.csv"
