@@ -37,6 +37,7 @@ ORACLE = "tests/test_simkernel.py::test_simulate_matches_reference"
 EDGE = "tests/test_simkernel.py::test_simulate_matches_reference_on_edge_cases"
 MESSAGE = "tests/test_experiment.py::test_config_reader_message"
 ROWS = "tests/test_experiment.py::TestTrajectoryCsv::test_rows_are_the_row_template_rows"
+FIELDS = "tests/test_fieldtext.py::TestFields"
 TBG_TESTS = (ORACLE, EDGE, f"{PINS}[tbg-concave-piecewise_vii]",
              f"{PINS}[tbg-convex-piecewise_vii]", f"{PINS}[tbg-convex-sinusoid]",
              "tests/test_controllers.py::"
@@ -63,16 +64,29 @@ MUTANTS = (
            "        v1 *= (t - t0) / (t1 - t0)\n",
            tuple(f"{PINS}[{c}-custom]"
                  for c in ("fixed_sign", "kinfty-concave", "kinfty-convex"))),
-    Mutant("writer_turns_negative_zero_positive", "src/barriersmc/experiment.py",
-           "part = col[lo:lo + _CHUNK_ROWS].tolist()",
-           "part = (col[lo:lo + _CHUNK_ROWS] + 0.0).tolist()",
+    Mutant("writer_turns_negative_zero_positive", "src/barriersmc/fieldtext.py",
+           "part = values.tolist()", "part = (values + 0.0).tolist()",
            ("tests/test_experiment.py::TestTrajectoryCsv::"
             "test_byte_format_and_bitwise_round_trip",)),
+    # `fieldtext.fields` gives the bytes of `%`: log10 may round across a
+    # power of ten, a near-tie needs `%` to round it to even, and the
+    # longdouble products are exact only from correctly rounded powers of ten
+    Mutant("field_exponent_left_one_off", "src/barriersmc/fieldtext.py",
+           "        e += off\n", "", (f"{FIELDS}::test_edge_cases[powers_of_ten]",)),
+    Mutant("field_ties_rounded_up", "src/barriersmc/fieldtext.py",
+           "    near_tie = np.abs(frac - 0.5) < 1 / 64\n    digits += frac > 0.5\n",
+           "    near_tie = frac != frac\n    digits += frac >= 0.5\n",
+           (f"{FIELDS}::test_edge_cases[ties]",)),
+    Mutant("field_powers_of_ten_from_doubles", "src/barriersmc/fieldtext.py",
+           'np.array([f"1e{k}" for k in powers], np.longdouble)',
+           'np.array([float(f"1e{k}") for k in powers], np.longdouble)',
+           (f"{FIELDS}::test_each_power_of_ten_is_correctly_rounded",
+            f"{FIELDS}::test_edge_cases[every_layout]")),
     # a field must hold the widest %.17g text of a double, 24 bytes
-    Mutant("field_narrower_than_the_widest_double", "src/barriersmc/experiment.py",
-           "_WIDTH = 24", "_WIDTH = 23", (ROWS,)),
+    Mutant("field_narrower_than_the_widest_double", "src/barriersmc/fieldtext.py",
+           "WIDTH = 24", "WIDTH = 23", (ROWS,)),
     Mutant("last_column_ends_in_a_comma", "src/barriersmc/experiment.py",
-           'cells[:, -1, _WIDTH] = ord("\\n")', 'cells[:, -1, _WIDTH] = ord(",")', (ROWS,)),
+           'cells[:, -1, WIDTH] = ord("\\n")', 'cells[:, -1, WIDTH] = ord(",")', (ROWS,)),
     Mutant("relay_sign_as_copysign", "src/barriersmc/simkernel.py",
            "u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0", "u = -math.copysign(g, s)",
            (ORACLE, f"{EDGE}[kinfty_concave_s0_-0]", f"{EDGE}[kinfty_convex_s0_-0]",

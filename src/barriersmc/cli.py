@@ -9,9 +9,10 @@ simkernel.MAX_STEPS and,
 for `run` and `validate`, an experiment name that cannot name its output
 file (one holding a path separator, a NUL or a comma, `.`, `..`,
 `summary` or a name starting with `fig_`) and, for `plot`, a trajectory
-file whose name holds a comma included, 3 simulation diverged or its
-disturbance exceeded d_bar. A chattering window that holds fewer than
-two samples leaves the run's total_variation cell empty.
+file whose name holds a comma or does not encode in the locale's encoding
+included, 3 simulation diverged or its disturbance exceeded d_bar. A
+chattering window that holds fewer than two samples leaves the run's
+total_variation cell empty.
 """
 
 from __future__ import annotations

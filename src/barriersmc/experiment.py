@@ -50,16 +50,13 @@ raise out of `run_experiment`: it becomes an `error` row of the summary.
 
 Work split over the CPUs
 ------------------------
-Four loops run through `_fork_map`, which splits its items into one
+Three loops run through `_fork_map`, which splits its items into one
 contiguous share per CPU in the process's affinity mask, computes the
 first share itself and each other one in a forked child that pickles its
-results back: `run_batch` over its experiments, `_format_chunks` over
-(column, 1000-row chunk) jobs, `emit_plot_data` over the trajectory files
-it parses and `sweep` over its grid points. `_format_chunks` formats the
-distinct chunks of a batch's figure columns for `run_batch`, and the
-chunks that the text record below does not hold for `write_trajectory_csv`
-and `emit_plot_data`. None of them runs inside another. A share under
-_FORK_MIN_SAMPLES samples (rows to parse, six values to format, or a call
+results back: `run_batch` over its experiments, `emit_plot_data` over the
+trajectory files it parses and `sweep` over its grid points. None of them
+runs inside another. Column text is formatted in this process (see
+below). A share under _FORK_MIN_SAMPLES samples (rows to parse, or a call
 site's Euler steps per sample) stays in this process, and so does
 everything on a platform without `os.fork`. The results, and so every
 output byte, are those of the serial loop, and an error is the first one
@@ -78,20 +75,24 @@ column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
 
-Both writers build their rows from the text of whole columns, one `bytes`
-per chunk of 1000 values, and format each distinct chunk once, keyed by
-the sha256 of its float64 bytes: columns that share a chunk share its
-text. A chunk's text is a run of fixed-width fields, each value's `%.17g`
-text padded with spaces to _WIDTH (24) bytes, the longest that text is
-for any double. A writer copies the fields of a chunk of rows into one
-uint8 array, a separator after each field (`,`, or `\n` after the last
+Both writers build their rows from the text of whole columns, one byte
+string per chunk of 1000 values, and format each distinct chunk once,
+keyed by the sha256 of its float64 bytes: columns that share a chunk
+share its text. A chunk's text is a run of fixed-width fields, each
+value's `%.17g` text padded with spaces to `fieldtext.WIDTH` (24) bytes,
+the longest that text is for any double. `fieldtext.fields` makes those
+bytes at array speed, for _SLAB_CHUNKS chunks a call, in this process:
+each value's 17 digits come from a longdouble product that is exact but
+for near-ties, which go through `%` with zeros, infinities and NaNs
+(about 3% of a replay's values). A writer copies the fields of a chunk of rows into one uint8
+array, a separator after each field (`,`, or `\n` after the last
 column), drops the padding with one mask and writes the bytes in binary
 mode, the header in the encoding text mode would use: no Python object
 per value. `run_batch` keys every chunk of the trajectories it writes,
 and formats each distinct chunk of a column a figure can chart
 (FIGURE_COLUMNS) once for the batch: within a batch, `t` and a shared `d`
 are the same bytes in every experiment. It keeps that text in the
-module's `_TEXT`, chunk key -> bytes, and in `_WRITTEN` the sha256 of
+module's `_TEXT`, chunk key -> bytearray, and in `_WRITTEN` the sha256 of
 each trajectory CSV it wrote, with the chunk keys of its figure columns.
 Each batch clears both before it writes, so they hold at most one batch:
 24 bytes of text per distinct value, and no floats.
@@ -155,20 +156,17 @@ from barriersmc.simkernel import (
 FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 
 # `_fork_map` forks only when each share holds at least this many samples,
-# a sample being the work of one trajectory row to parse or of six values
-# to format: below it, the fork, the pipe and the pickled results cost more
-# than the share. The simulating call sites count several Euler steps as
-# one sample, from their break-even shares (two items, serial against
-# forked, 2-vCPU host): ~10000 steps for grid points, which return one row
-# each, and ~15000 for experiments, which return their whole trajectories.
+# a sample being the work of one trajectory row to parse: below it, the
+# fork, the pipe and the pickled results cost more than the share. The
+# simulating call sites count several Euler steps as one sample, from their
+# break-even shares (two items, serial against forked, 2-vCPU host):
+# ~10000 steps for grid points, which return one row each, and ~15000 for
+# experiments, which return their whole trajectories.
 _FORK_MIN_SAMPLES = 5000
 _SWEEP_STEPS_PER_SAMPLE = 2
 _RUN_STEPS_PER_SAMPLE = 3
 _CHUNK_ROWS = 1000  # values per chunk of column text, and rows per write
-# bytes of a field of column text: the longest FLOAT_FMT text of a double,
-# such as -2.2250738585072014e-308, so every value fits its field
-_WIDTH = 24
-_FIELD_FMT = f"%-{_WIDTH}.17g"  # FLOAT_FMT, padded with spaces to _WIDTH bytes
+_SLAB_CHUNKS = 8  # chunks per `fieldtext.fields` call: ~75 bytes of arrays a value
 
 TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
 FIGURE_COLUMNS = ("t", "s", "gain", "u_applied", "d")  # what a figure can chart
@@ -187,9 +185,9 @@ class _Written(NamedTuple):
 
 # The record of the last `run_batch` of this process (see the module
 # docstring): the key of each distinct chunk of the figure columns it
-# wrote -> its `_chunk_text`; and the sha256 of each trajectory CSV it
-# wrote -> that file's figure columns.
-_TEXT: Dict[bytes, bytes] = {}
+# wrote -> its `fieldtext.fields` text; and the sha256 of each trajectory
+# CSV it wrote -> that file's figure columns.
+_TEXT: Dict[bytes, bytearray] = {}
 _WRITTEN: Dict[bytes, _Written] = {}
 
 
@@ -579,35 +577,37 @@ def _chunk_keys(col: np.ndarray) -> Tuple[bytes, ...]:
                  for lo in range(0, len(col), _CHUNK_ROWS))
 
 
-def _chunk_text(job: Tuple[np.ndarray, int]) -> bytes:
-    """The _CHUNK_ROWS values of a column from row `lo` on, each in a field
-    of _FIELD_FMT text, _WIDTH bytes long."""
-    col, lo = job
-    part = col[lo:lo + _CHUNK_ROWS].tolist()
-    return (_FIELD_FMT * len(part) % tuple(part)).encode("ascii")
-
-
 def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
     """Key -> text of each distinct chunk of the float columns, keyed by
-    `keys`, that _TEXT does not hold: one `_fork_map` over (column, chunk)
-    jobs. Six values count as one sample."""
+    `keys`, that _TEXT does not hold, formatted _SLAB_CHUNKS chunks to a
+    `fieldtext.fields` call."""
+    from barriersmc import fieldtext  # here: a process that formats nothing does not load it
     jobs = {}
     for col, column_keys in zip(cols, keys):
         if isinstance(col, np.ndarray):  # a column given as keys is recorded
-            jobs.update((k, (col, lo)) for k, lo in
+            jobs.update((k, col[lo:lo + _CHUNK_ROWS]) for k, lo in
                         zip(column_keys, range(0, len(col), _CHUNK_ROWS)) if k not in _TEXT)
-    values = sum(min(_CHUNK_ROWS, len(col) - lo) for col, lo in jobs.values())
-    return dict(zip(jobs, _fork_map(_chunk_text, jobs.values(),
-                                    values // len(TRAJECTORY_COLUMNS))))
+    jobs = list(jobs.items())
+    # each chunk's text is allocated before the arrays that format it, so
+    # that those, once freed, leave no holes between long-lived texts: the
+    # replay's peak RSS reads ~0.5 MB lower than with the text made after
+    text = {k: bytearray(len(part) * fieldtext.WIDTH) for k, part in jobs}
+    for s in range(0, len(jobs), _SLAB_CHUNKS):
+        slab = jobs[s:s + _SLAB_CHUNKS]
+        rows, lo = fieldtext.fields(np.concatenate([part for _, part in slab])), 0
+        for k, part in slab:
+            text[k][:] = memoryview(rows[lo:lo + len(part)].reshape(-1))
+            lo += len(part)
+    return text
 
 
-def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[bytes]]:
+def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[bytearray]]:
     """The text of each column, given as a float array or as the chunk keys
-    of its text in _TEXT, as its `_chunk_text` chunks: the recorded chunks
-    from _TEXT, and each other distinct chunk formatted once, without
-    recording it. `keys` are the columns' `_chunk_keys`, where the caller
-    has them. While _TEXT is empty there is nothing to look up, and no chunk
-    is hashed: each one is formatted."""
+    of its text in _TEXT, as the `fieldtext.fields` text of its chunks: the
+    recorded chunks from _TEXT, and each other distinct chunk formatted
+    once, without recording it. `keys` are the columns' `_chunk_keys`,
+    where the caller has them. While _TEXT is empty there is nothing to
+    look up, and no chunk is hashed: each one is formatted."""
     if keys is None:
         keys = [c if isinstance(c, tuple) else _chunk_keys(c) if _TEXT else
                 [(i, lo) for lo in range(0, len(c), _CHUNK_ROWS)]
@@ -634,19 +634,21 @@ def _equal(a, b) -> bool:
     return np.array_equal(_floats(a), _floats(b))
 
 
-def _csv_bytes(header: Sequence[str], texts: Sequence[List[bytes]]) -> Iterator[bytes]:
-    """The CSV text of columns of equal length, given as their `_chunk_text`
-    chunks, under the header: the header line, in the encoding that text
-    mode writes, then the rows of each chunk. A row's fields sit in one
-    array with their padding and a separator each, and dropping the padding
-    leaves the rows: no Python object is made per value."""
+def _csv_bytes(header: Sequence[str], texts: Sequence[List[bytearray]]) -> Iterator[bytes]:
+    """The CSV text of columns of equal length, given as the
+    `fieldtext.fields` text of their chunks, under the header: the header
+    line, in the encoding that text mode writes, then the rows of each
+    chunk. A row's fields sit in one array with their padding and a
+    separator each, and dropping the padding leaves the rows: no Python
+    object is made per value."""
+    from barriersmc.fieldtext import WIDTH
     yield (",".join(header) + "\n").encode(locale.getpreferredencoding(False))
     for parts in zip(*texts):
-        cells = np.empty((len(parts[0]) // _WIDTH, len(parts), _WIDTH + 1), np.uint8)
+        cells = np.empty((len(parts[0]) // WIDTH, len(parts), WIDTH + 1), np.uint8)
         for i, part in enumerate(parts):
-            cells[:, i, :_WIDTH] = np.frombuffer(part, np.uint8).reshape(-1, _WIDTH)
-        cells[:, :, _WIDTH] = ord(",")
-        cells[:, -1, _WIDTH] = ord("\n")
+            cells[:, i, :WIDTH] = np.frombuffer(part, np.uint8).reshape(-1, WIDTH)
+        cells[:, :, WIDTH] = ord(",")
+        cells[:, -1, WIDTH] = ord("\n")
         yield cells[cells != ord(" ")].tobytes()
 
 
@@ -952,8 +954,9 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     """Write aligned columnar data (t plus one column per experiment and
     signal) for a figure id. Trajectories must share the exact time grid;
     no resampling is attempted. The escape overlay also appends the shared
-    disturbance column. A file whose stem holds a comma is a ConfigError
-    that names it, raised before any file is read."""
+    disturbance column. A file whose stem holds a comma, or does not encode
+    in the header's encoding, is a ConfigError that names it, raised before
+    any file is read."""
     if figure not in FIGURE_SIGNALS:
         raise ConfigError(
             f"unknown figure '{figure}' (expected one of {sorted(FIGURE_SIGNALS)})"
@@ -961,9 +964,16 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     files = sorted(Path(f) for f in traj_files)
     if not files:
         raise ConfigError("no trajectory files given")
+    encoding = locale.getpreferredencoding(False)  # the header's, as `_csv_bytes` writes it
     for f in files:  # the stem names the file's columns in the header
         if "," in f.stem:
             raise ConfigError(f"{f}: a comma in the file name would split its column")
+        try:
+            f.stem.encode(encoding)
+        except UnicodeEncodeError:  # such as the surrogate of an undecodable byte
+            name = str(f).encode(encoding, "backslashreplace").decode(encoding)
+            raise ConfigError(f"{name}: the file name cannot be written in the "
+                              "figure's header") from None
     known = {}  # file -> its `_Written` figure columns, or its parsed trajectory
     if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
         for f in files:

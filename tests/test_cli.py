@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from barriersmc import analysis, cli, experiment
+from barriersmc import analysis, cli, experiment, fieldtext
 from barriersmc.experiment import FIGURE_SIGNALS, TRAJECTORY_COLUMNS, read_trajectory_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -465,14 +465,10 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
         trees.append({f.relative_to(tmp_path / str(ncpu)).as_posix(): f.read_bytes()
                       for f in (tmp_path / str(ncpu)).rglob("*") if f.is_file()})
         # 1501 rows a file, and a share of at least 500 samples: each run
-        # forks once to simulate and once to format the distinct chunks of
-        # its figure columns (sec7: 25 chunks, 3251 samples of six values;
-        # sec3: 16, 2001); its trajectory CSVs reuse that text, and sec3's
-        # clamped u_commanded, 250 samples, is formatted in this process.
+        # forks once to simulate, and formats its columns in this process.
         # Plotted from the record, a figure forks nothing; from the files, it
-        # forks once to parse them and once to format its columns (a sec7
-        # figure: 9 chunks, 1167 samples; escape: 12, 1501): 2 * 2 + 4 * 2.
-        assert len(forks) == (ncpu - 1) * 12
+        # forks once to parse them: 2 + 4.
+        assert len(forks) == (ncpu - 1) * 6
     assert trees[0] == trees[1] and len(trees[0]) == 16
     for name, data in trees[0].items():
         if "/parsed_" in name:
@@ -584,22 +580,33 @@ def replay_script():
     return script
 
 
+def replay_matches_golden(replay_script, out):
+    """Run the replay script into `out`: its exit code is ok and the sha256
+    of each output is the benchmark's."""
+    assert replay_script.main(["--out", str(out)]) == cli.EXIT_OK
+    golden = json.loads((REPO / "benchmark" / "replay_sha256.json").read_text())
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*") if p.is_file()}
+    assert got == golden
+
+
 def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script, cpus, forks):
     # the replay script runs what the benchmark's replay workload runs: both
     # campaigns through `run`, then the four figures through `plot`
     cpus(2)
-    assert replay_script.main(["--out", str(tmp_path)]) == cli.EXIT_OK
-    golden = json.loads((REPO / "benchmark" / "replay_sha256.json").read_text())
-    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.rglob("*") if p.is_file()}
-    assert got == golden
-    # each of the 2 batches forks once to simulate and once to format the
-    # distinct 1000-value chunks of its figure columns: t, d and 3 columns of
-    # each experiment (sec7: 122 chunks, 18834 samples of six values; sec3:
-    # 150, 23834). Its trajectory CSVs reuse that text, and sec3's clamped
-    # u_commanded columns, 3333 samples each, are formatted in this process.
-    # The plots look up the text of the trajectories the batches just wrote.
-    assert len(forks) == 2 * 2
+    replay_matches_golden(replay_script, tmp_path)
+    # each of the 2 batches forks once to simulate, and formats the distinct
+    # 1000-value chunks of its columns in this process. The plots look up
+    # the text of the trajectories the batches just wrote.
+    assert len(forks) == 2
+
+
+def test_replay_outputs_match_with_every_value_formatted_by_percent(tmp_path, monkeypatch,
+                                                                     replay_script):
+    # as where the longdouble is too narrow for the exact digits of `fields`
+    monkeypatch.setattr(fieldtext, "NMANT", 1000)
+    monkeypatch.setattr(fieldtext, "_tables", no_parse)
+    replay_matches_golden(replay_script, tmp_path)
 
 
 @pytest.mark.parametrize("text, code", [(FAILING, cli.EXIT_EXPECTATION),
@@ -629,6 +636,22 @@ def test_plot_trajectory_file_with_a_comma_in_its_name_exits_2(tmp_path, capsys)
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"configuration error: {bad}: "
                                        "a comma in the file name would split its column\n")
+    assert not (out / "fig_sliding.csv").exists()
+
+
+def test_plot_trajectory_file_whose_name_does_not_decode_exits_2(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the byte 0xff decodes to a surrogate, which the figure's header cannot hold
+    out = run_small(tmp_path)
+    (out / "summary.csv").unlink()  # so that plot charts every file of the directory
+    bad = out / os.fsdecode(b"\xff.csv")
+    bad.write_bytes((out / "still.csv").read_bytes())
+    monkeypatch.setattr(experiment, "_file_sha256", no_parse)
+    monkeypatch.setattr(experiment, "read_trajectory_csv", no_parse)
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {out}/\\udcff.csv: the file "
+                                       "name cannot be written in the figure's header\n")
     assert not (out / "fig_sliding.csv").exists()
 
 
@@ -662,9 +685,8 @@ def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
 @pytest.mark.parametrize("bad", [("a", "still"), ("still",)])
 def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, monkeypatch,
                                                              cpus, forks, ncpu, bad):
-    # with two CPUs the run formats the distinct chunks of the figure columns
-    # of still.csv in two shares; then a.csv is read in this process and
-    # still.csv in a child; with nothing recorded, the byte copy a.csv is read too
+    # with two CPUs a.csv is read in this process and still.csv in a child;
+    # with nothing recorded, the byte copy a.csv is read too
     cpus(ncpu)
     monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 1)
     out = run_small(tmp_path)
@@ -678,7 +700,7 @@ def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, m
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"configuration error: {out / bad[0]}.csv: "
                                        "line 3: 2 fields, expected 6\n")
-    assert len(forks) == 2 * (ncpu - 1)
+    assert len(forks) == ncpu - 1
 
 
 def test_plot_charts_only_the_last_runs_experiments(tmp_path):
@@ -778,7 +800,7 @@ def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeyp
         with monkeypatch.context() as m:
             if recorded:  # every file is looked up: nothing is parsed or formatted
                 m.setattr(experiment, "read_trajectory_csv", no_parse)
-                m.setattr(experiment, "_chunk_text", no_parse)
+                m.setattr(fieldtext, "fields", no_parse)
             else:  # as a new `plot` process, which has no record
                 m.setattr(experiment, "_WRITTEN", {})
                 m.setattr(experiment, "_TEXT", {})

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from barriersmc import analysis, cli, controllers, experiment, gains, simkernel
+from barriersmc import analysis, cli, controllers, experiment, fieldtext, gains, simkernel
 from barriersmc.controllers import (
     FixedSign,
     KInfty,
@@ -338,8 +338,8 @@ class TestTrajectoryCsv:
     @example(-0.0)
     def test_every_double_fills_one_field(self, x):
         text = "%.17g" % x
-        field = experiment._FIELD_FMT % x
-        assert len(text) <= experiment._WIDTH and len(field) == experiment._WIDTH
+        field = fieldtext.FIELD_FMT % x
+        assert len(text) <= fieldtext.WIDTH and len(field) == fieldtext.WIDTH
         assert " " not in field.rstrip(" ") and field.rstrip(" ") == text
 
     # the longest %.17g texts of a double, 24 bytes, and -0.0
@@ -611,10 +611,8 @@ class TestForkMap:
         monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path, keys: None)
         specs = [self.stretched(name, steps) for name in ("cc", "cv")]
         assert not run_batch(specs, tmp_path).any_diverged
-        # `forked` to simulate, and one more to format the batch's 8 distinct
-        # figure columns (t and d are shared): 8 * (steps + 1) values, at
-        # least 16001 samples of six
-        assert len(forks) == forked + 1
+        # `forked` to simulate; the batch's columns are formatted in this process
+        assert len(forks) == forked
 
     def test_a_child_that_ends_without_a_result_raises(self, cpus, forks):
         cpus(2)
