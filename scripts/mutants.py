@@ -176,6 +176,12 @@ MUTANTS = (
            "np.array_equal(_floats(a), _floats(b))", "np.array_equal(a, b)",
            ("tests/test_cli.py::"
             "test_a_figure_from_the_record_is_the_figure_from_the_files[signed_zero_d]",)),
+    # a field that fills all its bytes has no blank to split the recorded text at
+    Mutant("recorded_text_split_at_blanks", "src/barriersmc/experiment.py",
+           'np.frombuffer(b"".join(_TEXT[k] for k in col), f"S{WIDTH}").astype(np.float64)',
+           "np.array([float(v) for k in col for v in _TEXT[k].split()])",
+           ("tests/test_cli.py::"
+            "test_a_figure_from_the_record_is_the_figure_from_the_files[widest_d]",)),
     # --- the paper's claims: no gain overestimation once settled in the band
     Mutant("settled_peak_gain_reads_the_whole_record", "src/barriersmc/analysis.py",
            "mask = traj.t >= t_conv + SETTLE_PAD", "mask = traj.t >= traj.t[0]",

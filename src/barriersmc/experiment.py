@@ -50,18 +50,10 @@ raise out of `run_experiment`: it becomes an `error` row of the summary.
 
 Work split over the CPUs
 ------------------------
-Three loops run through `_fork_map`, which splits its items into one
-contiguous share per CPU in the process's affinity mask, computes the
-first share itself and each other one in a forked child that pickles its
-results back: `run_batch` over its experiments, `emit_plot_data` over the
-trajectory files it parses and `sweep` over its grid points. None of them
-runs inside another. Column text is formatted in this process (see
-below). A share under _FORK_MIN_SAMPLES samples (rows to parse, or a call
-site's Euler steps per sample) stays in this process, and so does
-everything on a platform without `os.fork`. The results, and so every
-output byte, are those of the serial loop, and an error is the first one
-in item order, as the serial loop raises it. `taskset -c 0` runs
-everything in one process.
+Only `sweep` forks, through `_fork_map`, because each of its grid points
+returns one small row: the experiments of `run_batch` and the files of
+`emit_plot_data` give whole trajectories, and the copy-on-write faults on
+the pages written after a fork cost as much as a forked share saves.
 
 Trajectory CSV
 --------------
@@ -155,16 +147,10 @@ from barriersmc.simkernel import (
 
 FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 
-# `_fork_map` forks only when each share holds at least this many samples,
-# a sample being the work of one trajectory row to parse: below it, the
-# fork, the pipe and the pickled results cost more than the share. The
-# simulating call sites count several Euler steps as one sample, from their
-# break-even shares (two items, serial against forked, 2-vCPU host):
-# ~10000 steps for grid points, which return one row each, and ~15000 for
-# experiments, which return their whole trajectories.
-_FORK_MIN_SAMPLES = 5000
-_SWEEP_STEPS_PER_SAMPLE = 2
-_RUN_STEPS_PER_SAMPLE = 3
+# `_fork_map` forks only when each share holds at least this many Euler
+# steps: below it, the fork, the pipe and the pickled results cost more
+# than the share (two sweep grid points, serial against forked, 2-vCPU host)
+_FORK_MIN_STEPS = 10000
 _CHUNK_ROWS = 1000  # values per chunk of column text, and rows per write
 _SLAB_CHUNKS = 8  # chunks per `fieldtext.fields` call: ~75 bytes of arrays a value
 
@@ -242,7 +228,7 @@ class ExperimentSpec:
 
 # --- work split over the CPUs ---------------------------------------------
 
-def _fork_map(fn, items, samples: int) -> list:
+def _fork_map(fn, items, steps: int) -> list:
     """`[fn(x) for x in items]`, in item order, computed in contiguous
     shares of the items, one per CPU in this process's affinity mask: this
     process computes the first share, and a forked child each other one,
@@ -250,7 +236,7 @@ def _fork_map(fn, items, samples: int) -> list:
 
     Serial when the platform has no `os.fork` or `os.sched_getaffinity`,
     when one CPU is available, or when a share would cover fewer than
-    _FORK_MIN_SAMPLES of the `samples` that all the items cover. Every
+    _FORK_MIN_STEPS of the Euler `steps` that all the items take. Every
     child is reaped before this returns or raises, and the error raised is
     the one the serial loop raises: the first in item order. A child that
     ends without a complete result is a RuntimeError. `fn` must not call
@@ -259,7 +245,7 @@ def _fork_map(fn, items, samples: int) -> list:
     items = list(items)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     shares = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(items),
-                 samples // _FORK_MIN_SAMPLES)
+                 steps // _FORK_MIN_STEPS)
     if shares < 2:
         return [fn(x) for x in items]
     # rounded up, so the first share, which is not pickled, is the largest
@@ -621,7 +607,9 @@ def _floats(col) -> np.ndarray:
     _TEXT."""
     if isinstance(col, np.ndarray):
         return col
-    return np.array([float(v) for k in col for v in _TEXT[k].split()])
+    from barriersmc.fieldtext import WIDTH
+    # one value a field: a field of WIDTH bytes holds no padding to split at
+    return np.frombuffer(b"".join(_TEXT[k] for k in col), f"S{WIDTH}").astype(np.float64)
 
 
 def _equal(a, b) -> bool:
@@ -848,8 +836,7 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     check_output_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = sum(n_steps(s.sim) + 1 for s in specs)
-    results = _fork_map(run_experiment, specs, steps // _RUN_STEPS_PER_SAMPLE)
+    results = [run_experiment(s) for s in specs]
     _WRITTEN.clear()
     _TEXT.clear()
     written = []  # (trajectory, path)
@@ -923,7 +910,7 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         feasible = bound <= target_sigma and peak_u <= u_budget
         return SweepRow(rho, lam, bound, peak_u, t_conv, feasible)
 
-    rows = _fork_map(evaluate, points, len(points) * (n + 1) // _SWEEP_STEPS_PER_SAMPLE)
+    rows = _fork_map(evaluate, points, len(points) * (n + 1))
     rows.sort(key=lambda r: (not r.feasible,
                              math.inf if r.t_conv is None else r.t_conv))
     return rows
@@ -974,18 +961,14 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
             name = str(f).encode(encoding, "backslashreplace").decode(encoding)
             raise ConfigError(f"{name}: the file name cannot be written in the "
                               "figure's header") from None
-    known = {}  # file -> its `_Written` figure columns, or its parsed trajectory
+    known = {}  # file -> its `_Written` figure columns
     if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
         for f in files:
             try:
                 known[f] = _WRITTEN[_file_sha256(f)]
             except (OSError, KeyError):  # parsed below, which raises in file order
                 pass
-    misses = [f for f in files if f not in known]
-    # a trajectory CSV row takes ~120 bytes: the file sizes estimate the rows
-    rows = sum(f.stat().st_size for f in misses if f.is_file()) // 120
-    known.update(zip(misses, _fork_map(read_trajectory_csv, misses, rows)))
-    trajs = [(f.stem, known[f]) for f in files]
+    trajs = [(f.stem, known[f] if f in known else read_trajectory_csv(f)) for f in files]
     first = trajs[0][1]
     for name, traj in trajs[1:]:
         if not _equal(traj.t, first.t):

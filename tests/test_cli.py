@@ -443,10 +443,9 @@ def test_sweep_divergence_in_a_forked_share_exits_3(capsys, cpus, forks, ncpu):
 
 
 def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, forks):
-    # both campaigns cut to 1.5 s, with a share minimum low enough that every
-    # call site still splits; the full-length bytes are the replay golden's.
-    # Each figure is plotted from the run's record, then from the files alone.
-    monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 500)
+    # both campaigns cut to 1.5 s; the full-length bytes are the replay
+    # golden's. Each figure is plotted from the run's record, then from the
+    # files alone.
     trees, codes = [], []
     for ncpu in (1, 2):
         cpus(ncpu)
@@ -464,11 +463,8 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
                                      str(out / f"parsed_{figure}.csv")]) == cli.EXIT_OK
         trees.append({f.relative_to(tmp_path / str(ncpu)).as_posix(): f.read_bytes()
                       for f in (tmp_path / str(ncpu)).rglob("*") if f.is_file()})
-        # 1501 rows a file, and a share of at least 500 samples: each run
-        # forks once to simulate, and formats its columns in this process.
-        # Plotted from the record, a figure forks nothing; from the files, it
-        # forks once to parse them: 2 + 4.
-        assert len(forks) == (ncpu - 1) * 6
+        # `run` simulates and formats, and `plot` parses, in this process
+        assert len(forks) == 0
     assert trees[0] == trees[1] and len(trees[0]) == 16
     for name, data in trees[0].items():
         if "/parsed_" in name:
@@ -499,14 +495,12 @@ def test_sweep_csv_is_the_same_on_one_and_two_cpus(cpus, forks):
 
 
 def test_a_short_run_forks_nothing(tmp_path, monkeypatch, cpus):
+    # only `sweep` can fork: the replay test counts the forks of `run` and `plot`
     def no_fork():
         raise AssertionError("forked for a 101-sample run")
 
     cpus(2)
     monkeypatch.setattr(os, "fork", no_fork)
-    p = write(tmp_path, QUICK)
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert cli.main(["plot", str(tmp_path / "out"), "--figure", "sliding"]) == cli.EXIT_OK
     p = write(tmp_path, QUICK.replace("fixed_sign\nk = 0.0",
                                       "kinfty\nlaw = convex\nrho = 5.0\nlam = 0.05"))
     assert cli.main(["sweep", str(p), "--grid", "rho=1,5;lam=0.05",
@@ -595,10 +589,10 @@ def test_replay_outputs_match_benchmark_sha256(tmp_path, replay_script, cpus, fo
     # campaigns through `run`, then the four figures through `plot`
     cpus(2)
     replay_matches_golden(replay_script, tmp_path)
-    # each of the 2 batches forks once to simulate, and formats the distinct
-    # 1000-value chunks of its columns in this process. The plots look up
-    # the text of the trajectories the batches just wrote.
-    assert len(forks) == 2
+    # each of the 2 batches simulates and formats the distinct 1000-value
+    # chunks of its columns in this process. The plots look up the text of
+    # the trajectories the batches just wrote.
+    assert len(forks) == 0
 
 
 def test_replay_outputs_match_with_every_value_formatted_by_percent(tmp_path, monkeypatch,
@@ -685,10 +679,9 @@ def test_plot_malformed_trajectory_exits_2(tmp_path, capsys, mangle, where):
 @pytest.mark.parametrize("bad", [("a", "still"), ("still",)])
 def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, monkeypatch,
                                                              cpus, forks, ncpu, bad):
-    # with two CPUs a.csv is read in this process and still.csv in a child;
-    # with nothing recorded, the byte copy a.csv is read too
+    # the files are read in sorted order, in this process on any number of
+    # CPUs; with nothing recorded, the byte copy a.csv is read too
     cpus(ncpu)
-    monkeypatch.setattr(cli.experiment, "_FORK_MIN_SAMPLES", 1)
     out = run_small(tmp_path)
     monkeypatch.setattr(cli.experiment, "_WRITTEN", {})
     (out / "summary.csv").unlink()  # so that plot charts every file of the directory
@@ -700,7 +693,7 @@ def test_plot_names_the_first_malformed_file_in_sorted_order(tmp_path, capsys, m
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"configuration error: {out / bad[0]}.csv: "
                                        "line 3: 2 fields, expected 6\n")
-    assert len(forks) == ncpu - 1
+    assert len(forks) == 0
 
 
 def test_plot_charts_only_the_last_runs_experiments(tmp_path):
@@ -781,6 +774,11 @@ def _cut(cfg):
 SIGNED_ZERO_D = (custom_table("0.0, 1.0", "0.0, 0.0") + "\n"
                  + custom_table("0.0, 1.0", "-0.0, -0.0").replace("[still]", "[minus]"))
 TWO_GRIDS = SMALL + "\n" + SMALL.replace("[still]", "[longer]").replace("0.04", "0.05")
+# -1.2345678901234567e-300 fills its 24-byte field: no blank separates it
+# from the next value of the recorded text
+WIDEST_D = "\n".join(custom_table("0.0, 1.0", f"{d}, {d}").replace("[still]", f"[{name}]")
+                     for name, d in (("a", "-1.2345678901234567e-300"),
+                                     ("b", "-2.2345678901234567e-300")))
 
 
 @pytest.mark.parametrize("text, figure, code", [
@@ -788,8 +786,9 @@ TWO_GRIDS = SMALL + "\n" + SMALL.replace("[still]", "[longer]").replace("0.04", 
     (_cut(SEC3), "escape", cli.EXIT_OK),
     (SIGNED_ZERO_D, "escape", cli.EXIT_OK),  # the d columns are equal as numbers
     (TWO_GRIDS, "sliding", cli.EXIT_CONFIG),
+    (WIDEST_D, "escape", cli.EXIT_CONFIG),
 ], ids=["sec7_sliding", "sec7_gains", "sec7_inputs", "sec3_escape", "signed_zero_d",
-        "two_grids"])
+        "two_grids", "widest_d"])
 def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeypatch,
                                                                 text, figure, code):
     out = tmp_path / "out"
@@ -813,9 +812,11 @@ def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeyp
     assert got[:3] == got[3:] and got[0] == code
     if text is SIGNED_ZERO_D:  # the two files differ in the sign of their last d
         assert (out / "still.csv").read_bytes() != (out / "minus.csv").read_bytes()
-    if code == cli.EXIT_CONFIG:
+    if text is TWO_GRIDS:
         assert got[1] == ("configuration error: time grid of 'still' does not match; "
                           "no resampling\n")
+    if text is WIDEST_D:
+        assert got[1] == "configuration error: escape overlay requires a shared disturbance\n"
 
 
 def test_a_non_ascii_name_is_written_as_text_mode_writes_it(tmp_path, monkeypatch,

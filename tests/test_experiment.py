@@ -546,7 +546,7 @@ class TestForkMap:
     """`_fork_map` against the serial loop it stands for. The `cpus`
     fixture sets the affinity mask, so these fork on any host."""
 
-    MIN = experiment._FORK_MIN_SAMPLES
+    MIN = experiment._FORK_MIN_STEPS
 
     @pytest.mark.parametrize("ncpu", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -603,16 +603,6 @@ class TestForkMap:
         cpus(2)
         rows = sweep(self.stretched("sat", steps), [(5.0, 0.05), (4.0, 0.05)], 3.1e-3, 10.0)
         assert len(rows) == 2 and len(forks) == forked
-
-    @pytest.mark.parametrize("steps, forked", [(12000, 0), (15000, 1)])
-    def test_run_batch_forks_from_its_break_even(self, monkeypatch, tmp_path, cpus, forks,
-                                                 steps, forked):
-        cpus(2)
-        monkeypatch.setattr(experiment, "write_trajectory_csv", lambda traj, path, keys: None)
-        specs = [self.stretched(name, steps) for name in ("cc", "cv")]
-        assert not run_batch(specs, tmp_path).any_diverged
-        # `forked` to simulate; the batch's columns are formatted in this process
-        assert len(forks) == forked
 
     def test_a_child_that_ends_without_a_result_raises(self, cpus, forks):
         cpus(2)
