@@ -156,30 +156,32 @@ MUTANTS = (
                  for case in ("non_number", "short_row"))),
     # --- what `plot` looks up instead of parsing: the text of the columns `run` wrote
     Mutant("record_keyed_by_file_path", "src/barriersmc/experiment.py",
-           "_WRITTEN[digest] = _Written(", "_WRITTEN[path] = _Written(",
+           "_WRITTEN[digest] = {", "_WRITTEN[path] = {",
            ("tests/test_cli.py::test_a_byte_copy_of_a_written_trajectory_is_looked_up",
             "tests/test_cli.py::test_run_never_tracebacks")),
     # a key by value takes -0.0 for 0.0: two columns that differ only in the
     # sign of a zero would share one text
     Mutant("column_text_keyed_by_value", "src/barriersmc/experiment.py",
-           "hashlib.sha256(col[lo:lo + _CHUNK_ROWS]).digest()",
-           "hash(tuple(col[lo:lo + _CHUNK_ROWS].tolist()))",
+           "hashlib.sha256(part).digest()", "hash(tuple(part.tolist()))",
            ("tests/test_experiment.py::TestRunBatch::"
             "test_columns_that_differ_only_in_the_sign_of_zero_keep_their_text",)),
-    # with no record there is nothing to look a chunk up in: hashing it is waste
-    Mutant("chunks_hashed_without_a_record", "src/barriersmc/experiment.py",
-           "_chunk_keys(c) if _TEXT else", "_chunk_keys(c) if True else",
-           ("tests/test_cli.py::test_with_nothing_recorded_plot_reads_each_file_once",)),
-    # columns with two keys can still be equal: a figure from the record
+    # columns with two texts can still be equal: a figure from the record
     # must then pass the grid and disturbance checks, as the parsed files do
     Mutant("grid_check_compares_keys_not_values", "src/barriersmc/experiment.py",
            "np.array_equal(_floats(a), _floats(b))", "np.array_equal(a, b)",
            ("tests/test_cli.py::"
             "test_a_figure_from_the_record_is_the_figure_from_the_files[signed_zero_d]",)),
+    # `==` between a tuple of text and a float array broadcasts and raises:
+    # a figure of one recorded and one parsed file compares the two
+    Mutant("record_text_compared_with_parsed_floats", "src/barriersmc/experiment.py",
+           "isinstance(a, tuple) and isinstance(b, tuple) and a == b",
+           "isinstance(a, tuple) and a == b",
+           ("tests/test_cli.py::"
+            "test_a_figure_from_the_record_is_the_figure_from_the_files[mixed]",)),
     # a field that fills all its bytes has no blank to split the recorded text at
     Mutant("recorded_text_split_at_blanks", "src/barriersmc/experiment.py",
-           'np.frombuffer(b"".join(_TEXT[k] for k in col), f"S{WIDTH}").astype(np.float64)',
-           "np.array([float(v) for k in col for v in _TEXT[k].split()])",
+           'np.frombuffer(b"".join(col), f"S{WIDTH}").astype(np.float64)',
+           "np.array([float(v) for part in col for v in part.split()])",
            ("tests/test_cli.py::"
             "test_a_figure_from_the_record_is_the_figure_from_the_files[widest_d]",)),
     # --- the paper's claims: no gain overestimation once settled in the band

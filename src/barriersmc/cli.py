@@ -1,18 +1,22 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, plot, validate. Exit codes: 0 success,
-1 declared expectation failed, 2 configuration error, a malformed
-trajectory CSV given to `plot`, a file that cannot be read or written, a
-non-finite sweep target or budget, a sweep grid axis given twice, an
-invalid sweep grid point, a step h so small that t_end / h exceeds
-simkernel.MAX_STEPS and,
-for `run` and `validate`, an experiment name that cannot name its output
-file (one holding a path separator, a NUL or a comma, `.`, `..`,
-`summary` or a name starting with `fig_`) and, for `plot`, a trajectory
-file whose name holds a comma or does not encode in the locale's encoding
-included, 3 simulation diverged or its disturbance exceeded d_bar. A
-chattering window that holds fewer than two samples leaves the run's
-total_variation cell empty.
+Subcommands: run, sweep, plot, validate. Exit codes, as README lists them:
+
+- 0: success
+- 1: an experiment ran but violated a declared expectation
+- 2: a configuration or usage error, in any of the cases below
+- 3: a simulation diverged, in `run` or at a `sweep` grid point, or its disturbance exceeded d_bar
+
+Exit 2 covers a file that cannot be read or written, a malformed
+trajectory CSV given to `plot`, a non-finite sweep target or budget, a
+sweep grid axis given twice, an invalid sweep grid point and a step h so
+small that t_end / h exceeds simkernel.MAX_STEPS. For `run` and
+`validate` it covers an experiment name that cannot name its output
+file: one holding a path separator, a NUL or a comma, `.`, `..`,
+`summary` or a name starting with `fig_`. For `plot` it covers a
+trajectory file whose name holds a comma or does not encode in the
+locale's encoding. A chattering window that holds fewer than two samples
+leaves the run's total_variation cell empty.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ def _cmd_sweep(args) -> int:
         base = matches[0]
     grid = _parse_grid(args.grid)
     rows = experiment.sweep(base, grid, args.target, args.budget)
+    diverged = [r.error for r in rows if r.error is not None]
+    if diverged:  # the first in grid order: the ranking keeps the order of these rows
+        print(f"simulation error: {diverged[0]}", file=sys.stderr)
+        return EXIT_DIVERGED
     text = experiment.sweep_csv(rows)
     sys.stdout.write(text)
     if args.out:

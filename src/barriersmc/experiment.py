@@ -67,51 +67,45 @@ column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
 on a malformed file.
 
-Both writers build their rows from the text of whole columns, one byte
-string per chunk of 1000 values, and format each distinct chunk once,
-keyed by the sha256 of its float64 bytes: columns that share a chunk
-share its text. A chunk's text is a run of fixed-width fields, each
-value's `%.17g` text padded with spaces to `fieldtext.WIDTH` (24) bytes,
-the longest that text is for any double. `fieldtext.fields` makes those
-bytes at array speed, for _SLAB_CHUNKS chunks a call, in this process:
-each value's 17 digits come from a longdouble product that is exact but
-for near-ties, which go through `%` with zeros, infinities and NaNs
-(about 3% of a replay's values). A writer copies the fields of a chunk of rows into one uint8
-array, a separator after each field (`,`, or `\n` after the last
-column), drops the padding with one mask and writes the bytes in binary
-mode, the header in the encoding text mode would use: no Python object
-per value. `run_batch` keys every chunk of the trajectories it writes,
-and formats each distinct chunk of a column a figure can chart
-(FIGURE_COLUMNS) once for the batch: within a batch, `t` and a shared `d`
-are the same bytes in every experiment. It keeps that text in the
-module's `_TEXT`, chunk key -> bytearray, and in `_WRITTEN` the sha256 of
-each trajectory CSV it wrote, with the chunk keys of its figure columns.
-Each batch clears both before it writes, so they hold at most one batch:
-24 bytes of text per distinct value, and no floats.
-`write_trajectory_csv` takes the text of a chunk from `_TEXT` by its key
-and formats any other chunk, such as one of a clamped `u_commanded`, for
-that write only. `emit_plot_data` looks up the sha256 of each file it is
-given in `_WRITTEN` and parses only the misses: a file edited since, or
-one that cannot be read, is parsed and fails as before. A hit gives the
-text that a parse and a format would, since `%.17g` round-trips every
-double. The grid and disturbance checks take two columns with equal keys
-as equal, and otherwise compare the floats, read back from the recorded
-text where needed, as they compare parsed ones. A figure made of hits
-formats nothing. `emit_plot_data` adds nothing to the record. While it is
-empty, as in a fresh `barriersmc plot` process, no file and no chunk is
-hashed, and every chunk is formatted.
+Both writers build their rows from column text that one function makes,
+`_texts`: it cuts each float column into chunks of _CHUNK_ROWS values,
+keys each chunk by the sha256 of its float64 bytes and formats each
+distinct chunk once, so equal chunks share one text object. A chunk's
+text is a run of fixed-width fields, each value's `%.17g` text padded
+with spaces to `fieldtext.WIDTH` (24) bytes, the longest that text is for
+any double. `fieldtext.fields` makes those bytes at array speed,
+_SLAB_CHUNKS chunks a call: each value's 17 digits come from a longdouble
+product that is exact but for near-ties, which go through `%` with
+zeros, infinities and NaNs (about 3% of a replay's values). A writer
+copies the fields of a chunk of rows into one uint8 array, a separator
+after each field (`,`, or `\n` after the last column), drops the padding
+with one mask and writes the bytes in binary mode, the header in the
+encoding text mode would use: no Python object per value.
+
+`run_batch` calls `_texts` once over every column it writes: within a
+batch, `t` and a shared `d` are the same bytes in every experiment. Its
+record, `_WRITTEN`, maps the sha256 of each trajectory CSV it wrote to
+the text of that file's figure columns (FIGURE_COLUMNS). Each batch
+clears it first, so it holds one batch: 24 bytes of text per distinct
+value, and no floats. `emit_plot_data` looks each file up by its sha256
+and parses the misses: a file edited since, or one that cannot be read,
+is parsed and fails as before. A hit gives the text that a parse and a
+format would, since `%.17g` round-trips every double. The grid and
+disturbance checks take equal text as equal values, and otherwise
+compare floats, read back from the text where needed. Only the parsed
+columns go through `_texts`, and the record gains nothing. While it is
+empty, as in a fresh `barriersmc plot` process, no file is hashed.
 """
 
 from __future__ import annotations
 
-import collections
 import locale
 import math
 import os
 import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,23 +152,10 @@ TRAJECTORY_COLUMNS = ("t", "s", "u_commanded", "u_applied", "gain", "d")
 FIGURE_COLUMNS = ("t", "s", "gain", "u_applied", "d")  # what a figure can chart
 
 
-class _Written(NamedTuple):
-    """The figure columns of a trajectory CSV that `run_batch` wrote, each
-    as the chunk keys of its text in _TEXT."""
-
-    t: Tuple[bytes, ...]
-    s: Tuple[bytes, ...]
-    gain: Tuple[bytes, ...]
-    u_applied: Tuple[bytes, ...]
-    d: Tuple[bytes, ...]
-
-
 # The record of the last `run_batch` of this process (see the module
-# docstring): the key of each distinct chunk of the figure columns it
-# wrote -> its `fieldtext.fields` text; and the sha256 of each trajectory
-# CSV it wrote -> that file's figure columns.
-_TEXT: Dict[bytes, bytearray] = {}
-_WRITTEN: Dict[bytes, _Written] = {}
+# docstring): the sha256 of each trajectory CSV it wrote -> the `_texts`
+# text of that file's figure columns, by column name.
+_WRITTEN: Dict[bytes, Dict[str, Tuple[bytearray, ...]]] = {}
 
 
 class ConfigError(ValueError):
@@ -554,26 +535,20 @@ def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
 
 # --- trajectory CSV --------------------------------------------------------
 
-def _chunk_keys(col: np.ndarray) -> Tuple[bytes, ...]:
-    """The sha256 of the float64 bytes of each _CHUNK_ROWS values of a
-    column: chunks with one key have one text."""
+def _texts(cols: Sequence[np.ndarray]) -> List[Tuple[bytearray, ...]]:
+    """The text of each float column, as the `fieldtext.fields` text of its
+    chunks of _CHUNK_ROWS values. A chunk is keyed by the sha256 of its
+    float64 bytes, and each distinct one is formatted once, _SLAB_CHUNKS
+    chunks to a `fieldtext.fields` call: equal chunks share one text."""
     import hashlib  # here: importing the package does not pay for it
-    col = np.ascontiguousarray(col, dtype=np.float64)
-    return tuple(hashlib.sha256(col[lo:lo + _CHUNK_ROWS]).digest()
-                 for lo in range(0, len(col), _CHUNK_ROWS))
-
-
-def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
-    """Key -> text of each distinct chunk of the float columns, keyed by
-    `keys`, that _TEXT does not hold, formatted _SLAB_CHUNKS chunks to a
-    `fieldtext.fields` call."""
     from barriersmc import fieldtext  # here: a process that formats nothing does not load it
-    jobs = {}
-    for col, column_keys in zip(cols, keys):
-        if isinstance(col, np.ndarray):  # a column given as keys is recorded
-            jobs.update((k, col[lo:lo + _CHUNK_ROWS]) for k, lo in
-                        zip(column_keys, range(0, len(col), _CHUNK_ROWS)) if k not in _TEXT)
-    jobs = list(jobs.items())
+    chunks, keys = {}, []  # key -> the values of each distinct chunk; each column's keys
+    for col in cols:
+        col = np.ascontiguousarray(col, dtype=np.float64)
+        parts = [col[lo:lo + _CHUNK_ROWS] for lo in range(0, len(col), _CHUNK_ROWS)]
+        keys.append([hashlib.sha256(part).digest() for part in parts])
+        chunks.update(zip(keys[-1], parts))
+    jobs = list(chunks.items())
     # each chunk's text is allocated before the arrays that format it, so
     # that those, once freed, leave no holes between long-lived texts: the
     # replay's peak RSS reads ~0.5 MB lower than with the text made after
@@ -584,45 +559,28 @@ def _format_chunks(cols: Sequence, keys: Sequence[Sequence]) -> Dict:
         for k, part in slab:
             text[k][:] = memoryview(rows[lo:lo + len(part)].reshape(-1))
             lo += len(part)
-    return text
-
-
-def _texts(cols: Sequence, keys: Optional[Sequence[Sequence]] = None) -> List[List[bytearray]]:
-    """The text of each column, given as a float array or as the chunk keys
-    of its text in _TEXT, as the `fieldtext.fields` text of its chunks: the
-    recorded chunks from _TEXT, and each other distinct chunk formatted
-    once, without recording it. `keys` are the columns' `_chunk_keys`,
-    where the caller has them. While _TEXT is empty there is nothing to
-    look up, and no chunk is hashed: each one is formatted."""
-    if keys is None:
-        keys = [c if isinstance(c, tuple) else _chunk_keys(c) if _TEXT else
-                [(i, lo) for lo in range(0, len(c), _CHUNK_ROWS)]
-                for i, c in enumerate(cols)]
-    text = collections.ChainMap(_format_chunks(cols, keys), _TEXT)
-    return [[text[k] for k in column_keys] for column_keys in keys]
+    return [tuple(text[k] for k in column_keys) for column_keys in keys]
 
 
 def _floats(col) -> np.ndarray:
-    """A column given as a float array or as the chunk keys of its text in
-    _TEXT."""
+    """A column given as a float array or as the text of its chunks."""
     if isinstance(col, np.ndarray):
         return col
     from barriersmc.fieldtext import WIDTH
     # one value a field: a field of WIDTH bytes holds no padding to split at
-    return np.frombuffer(b"".join(_TEXT[k] for k in col), f"S{WIDTH}").astype(np.float64)
+    return np.frombuffer(b"".join(col), f"S{WIDTH}").astype(np.float64)
 
 
 def _equal(a, b) -> bool:
-    """`np.array_equal` of two columns, each a float array or the chunk
-    keys of its text in _TEXT. Equal keys need no floats: they stand for
-    equal bytes, and the t and d columns that `run_batch` records are
-    finite."""
+    """`np.array_equal` of two columns, each a float array or the text of
+    its chunks. Equal text needs no floats: it stands for equal values, and
+    the t and d columns that `run_batch` records are finite."""
     if isinstance(a, tuple) and isinstance(b, tuple) and a == b:
         return True
     return np.array_equal(_floats(a), _floats(b))
 
 
-def _csv_bytes(header: Sequence[str], texts: Sequence[List[bytearray]]) -> Iterator[bytes]:
+def _csv_bytes(header: Sequence[str], texts: Sequence[Tuple[bytearray, ...]]) -> Iterator[bytes]:
     """The CSV text of columns of equal length, given as the
     `fieldtext.fields` text of their chunks, under the header: the header
     line, in the encoding that text mode writes, then the rows of each
@@ -651,13 +609,13 @@ def _file_sha256(path) -> bytes:
 
 
 def write_trajectory_csv(traj: Trajectory, path,
-                         keys: Optional[Sequence[Tuple[bytes, ...]]] = None) -> bytes:
-    """Write the trajectory CSV; returns the sha256 of its bytes. A chunk
-    whose text the last `run_batch` recorded is not formatted again; `keys`,
-    the `_chunk_keys` of the columns in TRAJECTORY_COLUMNS order, spare
-    hashing them again."""
+                         texts: Optional[Sequence[Tuple[bytearray, ...]]] = None) -> bytes:
+    """Write the trajectory CSV; returns the sha256 of its bytes. `texts`,
+    the `_texts` of the columns in TRAJECTORY_COLUMNS order, spare
+    formatting them again."""
     import hashlib
-    texts = _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS], keys)
+    if texts is None:
+        texts = _texts([getattr(traj, c) for c in TRAJECTORY_COLUMNS])
     digest = hashlib.sha256()
     with open(path, "wb") as out:
         for part in _csv_bytes(TRAJECTORY_COLUMNS, texts):
@@ -838,7 +796,6 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [run_experiment(s) for s in specs]
     _WRITTEN.clear()
-    _TEXT.clear()
     written = []  # (trajectory, path)
     for r in results:
         path = out_dir / f"{r.spec.name}.csv"
@@ -846,14 +803,11 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
             written.append((r.trajectory, path))
         else:
             path.unlink(missing_ok=True)
-    keys = [{c: _chunk_keys(getattr(traj, c)) for c in TRAJECTORY_COLUMNS}
-            for traj, _ in written]
-    _TEXT.update(_format_chunks(
-        [getattr(traj, c) for traj, _ in written for c in FIGURE_COLUMNS],
-        [k[c] for k in keys for c in FIGURE_COLUMNS]))
-    for (traj, path), k in zip(written, keys):
-        digest = write_trajectory_csv(traj, path, [k[c] for c in TRAJECTORY_COLUMNS])
-        _WRITTEN[digest] = _Written(**{c: k[c] for c in FIGURE_COLUMNS})
+    texts = iter(_texts([getattr(traj, c) for traj, _ in written for c in TRAJECTORY_COLUMNS]))
+    for traj, path in written:
+        cols = dict(zip(TRAJECTORY_COLUMNS, texts))  # the next six texts
+        digest = write_trajectory_csv(traj, path, list(cols.values()))
+        _WRITTEN[digest] = {c: cols[c] for c in FIGURE_COLUMNS}
     summary = BatchSummary(tuple(results))
     (out_dir / "summary.csv").write_text(summary_csv(summary))
     return summary
@@ -869,6 +823,7 @@ class SweepRow:
     peak_u: float
     t_conv: Optional[float]
     feasible: bool
+    error: Optional[str] = None  # why the point's simulation diverged
 
 
 def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
@@ -876,9 +831,11 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
     """Evaluate (rho, lam) grid points on the base experiment: predicted
     ultimate bound, peak |u|, convergence time into the target band.
     Feasible points (bound <= target and peak within budget) rank first,
-    ordered by convergence time. A non-finite target or budget, or a grid
-    point with no valid law or no finite bound, is a ConfigError that names
-    it, raised before anything is simulated."""
+    ordered by convergence time. A point whose simulation diverges is an
+    infeasible row with no convergence time, an infinite peak |u| and the
+    divergence as its error; such rows keep their grid order. A non-finite
+    target or budget, or a grid point with no valid law or no finite bound,
+    is a ConfigError that names it, raised before anything is simulated."""
     if not grid:
         raise ConfigError("sweep grid is empty")
     for name, value in (("target", target_sigma), ("budget", u_budget)):
@@ -902,7 +859,10 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
     def evaluate(point) -> SweepRow:
         rho, lam, law, bound = point
         ctrl = replace(base.controller, law=law)
-        traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
+        try:
+            traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
+        except SimulationDiverged as exc:
+            return SweepRow(rho, lam, bound, math.inf, None, False, error=str(exc))
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv
@@ -961,31 +921,31 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
             name = str(f).encode(encoding, "backslashreplace").decode(encoding)
             raise ConfigError(f"{name}: the file name cannot be written in the "
                               "figure's header") from None
-    known = {}  # file -> its `_Written` figure columns
-    if _WRITTEN:  # empty unless this process ran a batch: then nothing is hashed
-        for f in files:
-            try:
-                known[f] = _WRITTEN[_file_sha256(f)]
-            except (OSError, KeyError):  # parsed below, which raises in file order
-                pass
-    trajs = [(f.stem, known[f] if f in known else read_trajectory_csv(f)) for f in files]
+    trajs = []  # (stem, figure column -> its recorded text or its parsed floats)
+    for f in files:
+        try:  # _WRITTEN is empty unless this process ran a batch: then nothing is hashed
+            columns = _WRITTEN[_file_sha256(f)] if _WRITTEN else None
+        except (OSError, KeyError):  # parsed instead, which raises the file's error
+            columns = None
+        trajs.append((f.stem, columns or vars(read_trajectory_csv(f))))
     first = trajs[0][1]
-    for name, traj in trajs[1:]:
-        if not _equal(traj.t, first.t):
+    for name, columns in trajs[1:]:
+        if not _equal(columns["t"], first["t"]):
             raise ConfigError(f"time grid of '{name}' does not match; no resampling")
-        if figure == "escape" and not _equal(traj.d, first.d):
+        if figure == "escape" and not _equal(columns["d"], first["d"]):
             raise ConfigError("escape overlay requires a shared disturbance")
 
     short = {"s": "s", "gain": "gain", "u_applied": "u"}
     header = ["t"]
-    cols = [first.t]  # float arrays, or keys of recorded text
+    cols = [first["t"]]
     for signal in FIGURE_SIGNALS[figure]:
-        for name, traj in trajs:
+        for name, columns in trajs:
             header.append(f"{short[signal]}_{name}")
-            cols.append(getattr(traj, signal))
+            cols.append(columns[signal])
     if figure == "escape":
         header.append("d")
-        cols.append(first.d)
-    texts = _texts(cols)
+        cols.append(first["d"])
+    parsed = iter(_texts([c for c in cols if isinstance(c, np.ndarray)]))
+    texts = [next(parsed) if isinstance(c, np.ndarray) else c for c in cols]
     with open(out_path, "wb") as out:
         out.writelines(_csv_bytes(header, texts))

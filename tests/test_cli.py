@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from barriersmc import analysis, cli, experiment, fieldtext
 from barriersmc.experiment import FIGURE_SIGNALS, TRAJECTORY_COLUMNS, read_trajectory_csv
@@ -273,10 +273,8 @@ def test_run_never_tracebacks(tmp_path_factory, section, tuning, s0, t_end,
     for path in files:  # every trajectory CSV reads back as recorded
         parsed = read_trajectory_csv(path)
         entry = experiment._WRITTEN[hashlib.sha256(path.read_bytes()).digest()]
-        for c in experiment.FIGURE_COLUMNS:  # the keys and the text of each figure column
-            keys = experiment._chunk_keys(getattr(parsed, c))
-            assert getattr(entry, c) == keys, c
-            assert b"".join(experiment._TEXT[k] for k in keys) == "".join(
+        for c in experiment.FIGURE_COLUMNS:  # the text of each figure column
+            assert b"".join(entry[c]) == "".join(
                 "%-24.17g" % v for v in getattr(parsed, c).tolist()).encode(), c
 
 
@@ -442,6 +440,20 @@ def test_sweep_divergence_in_a_forked_share_exits_3(capsys, cpus, forks, ncpu):
     assert capsys.readouterr().err == "simulation error: control non-finite at t = 0.654\n"
 
 
+@pytest.mark.parametrize("ncpu", [1, 2])
+def test_sweep_names_the_first_diverging_point_in_grid_order(tmp_path, capsys, cpus, forks,
+                                                             ncpu):
+    # (25, 0.01) diverges at t = 0.654, (25, 1e-4) at 0.117 and (0.5, 1e-4) at 0.364
+    cpus(ncpu)
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", str(SEC7), "--experiment", "cv", "--grid",
+                     "rho=25,0.5;lam=0.01,1e-4", "--target", "3.52e-3", "--budget", "10",
+                     "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED and len(forks) == ncpu - 1
+    assert capsys.readouterr() == ("", "simulation error: control non-finite at t = 0.654\n")
+    assert not out.exists()
+
+
 def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, forks):
     # both campaigns cut to 1.5 s; the full-length bytes are the replay
     # golden's. Each figure is plotted from the run's record, then from the
@@ -457,7 +469,6 @@ def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, f
                 assert cli.main(["plot", str(out), "--figure", figure]) == cli.EXIT_OK
             with monkeypatch.context() as fresh:  # as a new `plot` process would
                 fresh.setattr(cli.experiment, "_WRITTEN", {})
-                fresh.setattr(cli.experiment, "_TEXT", {})
                 for figure in figures:
                     assert cli.main(["plot", str(out), "--figure", figure, "--out",
                                      str(out / f"parsed_{figure}.csv")]) == cli.EXIT_OK
@@ -753,12 +764,10 @@ def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypa
 
 
 def test_with_nothing_recorded_plot_reads_each_file_once(tmp_path, monkeypatch):
-    # as in a fresh `barriersmc plot` process: no file and no chunk is hashed
+    # as in a fresh `barriersmc plot` process: no file is hashed
     out = run_small(tmp_path, SMALL + "\n" + SMALL.replace("[still]", "[other]"))
     monkeypatch.setattr(experiment, "_WRITTEN", {})
-    monkeypatch.setattr(experiment, "_TEXT", {})
     monkeypatch.setattr(experiment, "_file_sha256", no_parse)
-    monkeypatch.setattr(experiment, "_chunk_keys", no_parse)
     parsed = []
     monkeypatch.setattr(experiment, "read_trajectory_csv",
                         lambda path: parsed.append(path) or read_trajectory_csv(path))
@@ -779,6 +788,19 @@ TWO_GRIDS = SMALL + "\n" + SMALL.replace("[still]", "[longer]").replace("0.04", 
 WIDEST_D = "\n".join(custom_table("0.0, 1.0", f"{d}, {d}").replace("[still]", f"[{name}]")
                      for name, d in (("a", "-1.2345678901234567e-300"),
                                      ("b", "-2.2345678901234567e-300")))
+# other.csv is rewritten after the run in the text of `repr`, such as `0.0`
+# for `0`: the same values, in a file whose sha256 misses the record. It is
+# the first file in sorted order, so the recorded still.csv is checked
+# against its parsed floats.
+MIXED = SMALL + "\n" + SMALL.replace("[still]", "[other]").replace("k = 0.0", "k = 1.0")
+
+
+def retext(path):
+    """Rewrite a trajectory CSV with each value as its `repr`."""
+    traj = read_trajectory_csv(path)
+    rows = zip(*(getattr(traj, c).tolist() for c in TRAJECTORY_COLUMNS))
+    path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 @pytest.mark.parametrize("text, figure, code", [
@@ -787,22 +809,29 @@ WIDEST_D = "\n".join(custom_table("0.0, 1.0", f"{d}, {d}").replace("[still]", f"
     (SIGNED_ZERO_D, "escape", cli.EXIT_OK),  # the d columns are equal as numbers
     (TWO_GRIDS, "sliding", cli.EXIT_CONFIG),
     (WIDEST_D, "escape", cli.EXIT_CONFIG),
+    (MIXED, "sliding", cli.EXIT_OK),
 ], ids=["sec7_sliding", "sec7_gains", "sec7_inputs", "sec3_escape", "signed_zero_d",
-        "two_grids", "widest_d"])
+        "two_grids", "widest_d", "mixed"])
 def test_a_figure_from_the_record_is_the_figure_from_the_files(tmp_path, monkeypatch,
                                                                 text, figure, code):
     out = tmp_path / "out"
     assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) in (
         cli.EXIT_OK, cli.EXIT_EXPECTATION)
+    edited = [out / "other.csv"] if text is MIXED else []
+    for path in edited:
+        before = path.read_bytes()
+        retext(path)
+        assert path.read_bytes() != before
     got = []
     for recorded in (True, False):
         with monkeypatch.context() as m:
-            if recorded:  # every file is looked up: nothing is parsed or formatted
-                m.setattr(experiment, "read_trajectory_csv", no_parse)
-                m.setattr(fieldtext, "fields", no_parse)
+            if recorded:  # every file the run wrote is looked up: only edited ones are parsed
+                m.setattr(experiment, "read_trajectory_csv",
+                          lambda path: (read_trajectory_csv if path in edited else no_parse)(path))
+                if not edited:  # and nothing is formatted
+                    m.setattr(fieldtext, "fields", no_parse)
             else:  # as a new `plot` process, which has no record
                 m.setattr(experiment, "_WRITTEN", {})
-                m.setattr(experiment, "_TEXT", {})
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 got.append(cli.main(["plot", str(out), "--figure", figure]))
@@ -833,12 +862,48 @@ def test_a_non_ascii_name_is_written_as_text_mode_writes_it(tmp_path, monkeypatc
                 m.setattr(experiment, "read_trajectory_csv", no_parse)
             else:  # as a new `plot` process, which has no record
                 m.setattr(experiment, "_WRITTEN", {})
-                m.setattr(experiment, "_TEXT", {})
             assert cli.main(["plot", str(out), "--figure", "escape"]) == cli.EXIT_OK
         figures.append((out / "fig_escape.csv").read_bytes())
     row_template_csv(expected, ["t", "s_σ_cc", "u_σ_cc", "d"],
                      [traj.t, traj.s, traj.u_applied, traj.d])
     assert figures == [expected.read_bytes()] * 2 and "σ".encode() in figures[0]
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    """The bytes of a 41-sample trajectory CSV that `run` wrote."""
+    return (run_small(tmp_path_factory.mktemp("small")) / "still.csv").read_bytes()
+
+
+# file stems as text, and as raw bytes, which may not decode; neither may
+# hold the path separator or a NUL, which no file name can
+file_stems = st.one_of(st.text(min_size=1, max_size=8),
+                       st.binary(min_size=1, max_size=8).map(os.fsdecode)).filter(
+    lambda stem: not {"/", "\0"} & set(stem))
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stem=file_stems)
+@example(stem="σ_cc")
+@example(stem="a,b")
+@example(stem=os.fsdecode(b"\xffs"))
+@example(stem="summary")
+def test_plot_on_any_file_name_exits_0_or_2(tmp_path_factory, row_template_csv, small_csv,
+                                            stem):
+    directory = tmp_path_factory.mktemp("names")
+    (directory / f"{stem}.csv").write_bytes(small_csv)
+    figure, err = directory.parent / f"{directory.name}_fig.csv", io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["plot", str(directory), "--figure", "sliding", "--out", str(figure)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_OK:
+        traj, expected = read_trajectory_csv(directory / f"{stem}.csv"), directory / "expected"
+        row_template_csv(expected, ["t", f"s_{stem}"], [traj.t, traj.s])
+        assert figure.read_bytes() == expected.read_bytes()
+    else:
+        assert err.getvalue().startswith("configuration error: ")
 
 
 def test_an_unreadable_file_is_named_as_the_parse_names_it(tmp_path):

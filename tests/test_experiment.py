@@ -431,14 +431,20 @@ class TestRunBatch:
             assert_columns_bitwise_equal(parsed, r.trajectory)
 
     def test_the_text_record_holds_the_last_batch_only(self, tmp_path):
-        def figure_keys(summary):
-            return {k for r in summary.results for c in experiment.FIGURE_COLUMNS
-                    for k in experiment._chunk_keys(getattr(r.trajectory, c))}
+        def digests(out, names):
+            return {hashlib.sha256((out / f"{n}.csv").read_bytes()).digest() for n in names}
+
+        def text_ids(record):  # the text objects of a record's chunks
+            return {id(part) for columns in record.values() for col in columns.values()
+                    for part in col}
 
         out = tmp_path / "a"
-        first = run_batch([quick_spec("one"), quick_spec("two", FixedSign(1.0))], out)
-        assert set(experiment._TEXT) == figure_keys(first)
-        text, written = dict(experiment._TEXT), dict(experiment._WRITTEN)
+        run_batch([quick_spec("one"), quick_spec("two", FixedSign(1.0))], out)
+        # one entry per written file, keyed by its bytes, holding its figure columns
+        assert set(experiment._WRITTEN) == digests(out, ("one", "two"))
+        assert all(tuple(columns) == experiment.FIGURE_COLUMNS
+                   for columns in experiment._WRITTEN.values())
+        record = dict(experiment._WRITTEN)
         # a file the batch did not write, charted first, beside its files:
         # its columns are formatted for the figure, and nothing is recorded
         fresh = run_experiment(quick_spec("fresh", FixedSign(2.0))).trajectory
@@ -447,11 +453,12 @@ class TestRunBatch:
                        tmp_path / "fig.csv")
         assert (tmp_path / "fig.csv").read_text().splitlines()[0] == \
             "t,s_fresh,s_one,s_two,u_fresh,u_one,u_two,d"
-        assert experiment._TEXT == text and experiment._WRITTEN == written
-        assert not set(experiment._chunk_keys(fresh.s)) & set(experiment._TEXT)
-        second = run_batch([quick_spec("four", sim=SimConfig(0.5, 1e-3, 0.2))], tmp_path / "b")
-        assert set(experiment._TEXT) == figure_keys(second)
-        assert not set(experiment._TEXT) & set(text)
+        assert experiment._WRITTEN.keys() == record.keys()
+        assert all(experiment._WRITTEN[k] is columns for k, columns in record.items())
+        run_batch([quick_spec("four", sim=SimConfig(0.5, 1e-3, 0.2))], tmp_path / "b")
+        assert set(experiment._WRITTEN) == digests(tmp_path / "b", ("four",))
+        # `record` keeps the first batch's text alive, so no id is reused
+        assert not text_ids(experiment._WRITTEN) & text_ids(record)
 
 
 class TestSweep:
@@ -464,6 +471,21 @@ class TestSweep:
         assert rows[0].feasible
         assert rows[0].bound <= 3.1e-3
         assert rows[0].peak_u <= 10.0
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["two_cpus", "one_process"])
+    def test_a_diverging_point_is_a_row(self, monkeypatch, cpus, forks, forked):
+        # h*rho*pi/(2*lam) ~ 3.9 > 2 at (25, 0.01): the explicit Euler step grows |s|
+        cpus(2)
+        if not forked:
+            monkeypatch.setattr(experiment, "_FORK_MIN_STEPS", 10 ** 18)
+        cv = [s for s in load_config(SEC7) if s.name == "cv"][0]
+        rows = sweep(cv, [(25.0, 0.01), (5.0, 0.05)], 3.52e-3, 10.0)
+        assert len(forks) == forked
+        bound = gains.ultimate_bound(ConvexParams(25.0, 0.01), cv.disturbance.d_bar).sigma
+        assert rows == [sweep(cv, [(5.0, 0.05)], 3.52e-3, 10.0)[0],
+                        experiment.SweepRow(25.0, 0.01, bound, math.inf, None, False,
+                                            "control non-finite at t = 0.654")]
+        assert rows[0].error is None
 
     def test_zero_target_infeasible(self):
         rows = sweep(self.base(), [(5.0, 0.05)], 0.0, 10.0)
