@@ -38,6 +38,7 @@ EDGE = "tests/test_simkernel.py::test_simulate_matches_reference_on_edge_cases"
 MESSAGE = "tests/test_experiment.py::test_config_reader_message"
 ROWS = "tests/test_experiment.py::TestTrajectoryCsv::test_rows_are_the_row_template_rows"
 FIELDS = "tests/test_fieldtext.py::TestFields"
+REACH = "tests/test_analysis.py::TestReachTimeBound"
 TBG_TESTS = (ORACLE, EDGE, f"{PINS}[tbg-concave-piecewise_vii]",
              f"{PINS}[tbg-convex-piecewise_vii]", f"{PINS}[tbg-convex-sinusoid]",
              "tests/test_controllers.py::"
@@ -113,9 +114,14 @@ MUTANTS = (
            TBG_TESTS, "equivalent"),
     # --- robustness: names, step counts, chattering windows
     Mutant("nul_name_accepted", "src/barriersmc/experiment.py",
-           r'set("/\\\0,")', r'set("/\\,")',
+           r'set("/\\\0")', r'set("/\\")',
            ("tests/test_cli.py::"
             "test_name_that_cannot_name_an_output_file_exits_2[a\\x00b]",)),
+    # a line break in a name splits its CSV row, as a comma splits its field
+    Mutant("line_break_name_accepted", "src/barriersmc/experiment.py",
+           'frozenset(",\\n\\r")', 'frozenset(",")',
+           ("tests/test_cli.py::"
+            "test_plot_trajectory_file_with_a_line_break_in_its_name_exits_2[newline]",)),
     # only `validate` runs: `run` would start the huge simulation
     Mutant("step_count_unchecked", "src/barriersmc/simkernel.py",
            "self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS", "self.t_end >= self.h",
@@ -184,7 +190,18 @@ MUTANTS = (
            "np.array([float(v) for part in col for v in part.split()])",
            ("tests/test_cli.py::"
             "test_a_figure_from_the_record_is_the_figure_from_the_files[widest_d]",)),
-    # --- the paper's claims: no gain overestimation once settled in the band
+    # --- the paper's claims: the first entry into the band comes by the reaching bound
+    Mutant("reach_bound_without_the_last_step", "src/barriersmc/analysis.py",
+           "float(np.sum(np.diff(x) / rate)) + sim.h", "float(np.sum(np.diff(x) / rate))",
+           (f"{REACH}::test_on_a_capped_stretch_the_bound_is_the_linear_descent",)),
+    # right endpoints under-estimate the integral of a decreasing integrand
+    Mutant("reach_bound_from_right_endpoints", "src/barriersmc/analysis.py",
+           "for v in x[:-1].tolist()", "for v in x[1:].tolist()",
+           (f"{REACH}::test_at_least_the_integral",)),
+    Mutant("reach_bound_ignores_the_actuator_clamp", "src/barriersmc/analysis.py",
+           "min(controller.cap, sim.u_max or math.inf)", "controller.cap",
+           (f"{REACH}::test_inf_where_the_applied_gain_cannot_beat_the_disturbance",)),
+    # --- no gain overestimation once settled in the band
     Mutant("settled_peak_gain_reads_the_whole_record", "src/barriersmc/analysis.py",
            "mask = traj.t >= t_conv + SETTLE_PAD", "mask = traj.t >= traj.t[0]",
            ("tests/test_acceptance.py::test_criterion_6_no_overestimation",)),

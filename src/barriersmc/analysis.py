@@ -1,29 +1,28 @@
 """Post-hoc trajectory metrics: band convergence, escape/return events,
-chattering (total variation), the settled gain peak, and a midpoint
-estimate of the saturated controller's convergence time.
+chattering (total variation) and the settled gain peak; and an upper
+bound on the time a class-Kinf relay takes to first reach its band.
 
-All functions are read-only over immutable trajectories.
+All functions are read-only over immutable trajectories and descriptors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.gains import GainLaw, gain_inverse
-from barriersmc.simkernel import Trajectory
+from barriersmc.controllers import KInfty, SaturatedKInfty
+from barriersmc.simkernel import SimConfig, Trajectory
 
 # Post-convergence settle pad before gain levels are judged, and the default
 # chattering window as a fraction of the horizon.
 SETTLE_PAD = 1.0
 DEFAULT_CHATTER_FRACTION = 0.2
-
-
-class AssumptionViolatedError(ValueError):
-    """Saturation cap does not dominate the disturbance bound."""
+# Intervals of the geometric grid that `reach_time_bound` sums over.
+REACH_INTERVALS = 256
 
 
 @dataclass(frozen=True)
@@ -89,30 +88,25 @@ def settled_peak_gain(traj: Trajectory, t_conv: float) -> Optional[float]:
     return float(traj.gain[mask].max()) if mask.any() else None
 
 
-def sat_time_bound(s0: float, law: GainLaw, k_max: float, d_bar: float) -> float:
-    """Two-phase convergence-time estimate for the gain-capped relay:
-    linear descent at k_max - d_bar down to sigma_s = K^{-1}(k_max), then
-    descent at K(s*) - d_bar with s* the midpoint of the remaining
-    interval. A midpoint heuristic, not an upper bound: on the bundled
-    sec7 `sat` experiment it gives 0.2208 s, while the measured
-    convergence into the 3.52e-3 band takes 0.228 s. Raises
-    UnsupportedVariantError for a law without an inverse.
+def reach_time_bound(controller, d_bar: float, sim: SimConfig, sigma: float) -> float:
+    """An upper bound on the time of the first sample with |s| <= sigma,
+    for the KInfty or SaturatedKInfty relay `controller` from `sim.s0`
+    under any |d| <= d_bar, while s keeps its sign.
+
+    With g = min(K, cap, u_max) the applied gain, each Euler step from
+    |s_k| > sigma gives |s_{k+1}| <= |s_k| - h*(g(|s_k|) - d_bar). So the
+    first sample inside comes by h plus the integral of 1/(g(x) - d_bar)
+    from sigma to |s0|. The integrand decreases in x, so its left Riemann
+    sum over a geometric grid of REACH_INTERVALS intervals over-estimates
+    the integral. 0.0 when |s0| <= sigma; inf when g(sigma) <= d_bar.
     """
-    sigma1 = gain_inverse(law, d_bar)
-    if not (k_max > d_bar):
-        raise AssumptionViolatedError(
-            f"k_max = {k_max:g} must exceed d_bar = {d_bar:g}"
-        )
-    sigma_s = gain_inverse(law, k_max)
-    a0 = abs(s0)
-    if a0 <= sigma1:
+    if not isinstance(controller, (KInfty, SaturatedKInfty)):
+        raise ValueError(f"no reaching-time bound for {type(controller).__name__}")
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if abs(sim.s0) <= sigma:
         return 0.0
-    if a0 > sigma_s:
-        t_a = (a0 - sigma_s) / (k_max - d_bar)
-        upper = sigma_s
-    else:
-        t_a = 0.0
-        upper = a0
-    s_star = sigma1 + 0.5 * (upper - sigma1)
-    t_b = (upper - sigma1) / (law.gain(s_star) - d_bar)
-    return t_a + t_b
+    x = np.geomspace(sigma, abs(sim.s0), REACH_INTERVALS + 1)
+    cap = min(controller.cap, sim.u_max or math.inf)
+    rate = np.array([min(controller.law.gain(v), cap) for v in x[:-1].tolist()]) - d_bar
+    return float(np.sum(np.diff(x) / rate)) + sim.h if rate[0] > 0.0 else math.inf

@@ -513,15 +513,29 @@ def _check_unique_names(specs: Sequence[ExperimentSpec]) -> None:
         raise ConfigError("experiment names must be unique within a batch")
 
 
+# An experiment's name is a field of `summary.csv` and, through its file's
+# stem, a column of a figure's header: any of these would split it.
+_FIELD_BREAKS = frozenset(",\n\r")
+
+
+def _one_line(name) -> str:
+    """`name` with repr's backslash escapes, so a message that shows it is
+    one line."""
+    return repr(str(name))[1:-1]
+
+
 def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
     """Reject a name whose `<name>.csv` would leave the output directory,
     clash with `summary.csv` or a `fig_*.csv` that `plot` writes there,
-    hold a NUL, which no file name can, or hold a comma, which would split
-    its field of `summary.csv` and its column of a figure's header."""
+    hold a NUL, which no file name can, or hold a comma or a line break,
+    which would split its field of `summary.csv` and its column of a
+    figure's header."""
     for name in (s.name for s in specs):
-        if name in (".", "..", "summary") or name.startswith("fig_") or set("/\\\0,") & set(name):
-            raise ConfigError(f"[{name}] cannot name an output file: no path separator, "
-                              "NUL, comma, '.', '..', 'summary' or 'fig_' prefix")
+        if (name in (".", "..", "summary") or name.startswith("fig_")
+                or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name)):
+            raise ConfigError(f"[{_one_line(name)}] cannot name an output file: no path "
+                              "separator, NUL, comma, line break, '.', '..', 'summary' or "
+                              "'fig_' prefix")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
@@ -901,9 +915,9 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     """Write aligned columnar data (t plus one column per experiment and
     signal) for a figure id. Trajectories must share the exact time grid;
     no resampling is attempted. The escape overlay also appends the shared
-    disturbance column. A file whose stem holds a comma, or does not encode
-    in the header's encoding, is a ConfigError that names it, raised before
-    any file is read."""
+    disturbance column. A file whose stem holds a comma or a line break, or
+    does not encode in the header's encoding, is a ConfigError that names
+    it on one line, raised before any file is read."""
     if figure not in FIGURE_SIGNALS:
         raise ConfigError(
             f"unknown figure '{figure}' (expected one of {sorted(FIGURE_SIGNALS)})"
@@ -913,13 +927,13 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
         raise ConfigError("no trajectory files given")
     encoding = locale.getpreferredencoding(False)  # the header's, as `_csv_bytes` writes it
     for f in files:  # the stem names the file's columns in the header
-        if "," in f.stem:
-            raise ConfigError(f"{f}: a comma in the file name would split its column")
+        if _FIELD_BREAKS & set(f.stem):
+            raise ConfigError(f"{_one_line(f)}: a comma or line break in the file name "
+                              "would split its column")
         try:
             f.stem.encode(encoding)
         except UnicodeEncodeError:  # such as the surrogate of an undecodable byte
-            name = str(f).encode(encoding, "backslashreplace").decode(encoding)
-            raise ConfigError(f"{name}: the file name cannot be written in the "
+            raise ConfigError(f"{_one_line(f)}: the file name cannot be written in the "
                               "figure's header") from None
     trajs = []  # (stem, figure column -> its recorded text or its parsed floats)
     for f in files:

@@ -59,6 +59,13 @@ def verdict(criterion, ok, detail=""):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def reach_bound(res):
+    """The reaching-time bound of a result's relay, into its own band."""
+    spec = res.spec
+    return analysis.reach_time_bound(spec.controller, spec.disturbance.d_bar, spec.sim,
+                                     spec.sigma_target)
+
+
 @pytest.fixture(scope="module")
 def sec7():
     return {s.name: experiment.run_experiment(s)
@@ -108,7 +115,8 @@ def test_criterion_3_convex_converges_faster(sec7):
     assert abs(k_cc - k_cv) <= 0.01 * max(k_cc, k_cv), (k_cc, k_cv)
     t_cv, t_cc = cv.report.t_conv, cc.report.t_conv
     ok = t_cv is not None and (t_cc is None or t_cv < t_cc)
-    verdict(3, ok, f"t_cv={t_cv}, t_cc={t_cc}")
+    verdict(3, ok, f"t_cv={t_cv} (bound {reach_bound(cv):.4f}), "
+                   f"t_cc={t_cc} (bound {reach_bound(cc):.4f})")
 
 
 def test_criterion_4_prescribed_time(sec7):
@@ -160,11 +168,11 @@ def test_criterion_7_chattering_mitigated(sec7, relay_baseline):
 def test_criterion_8_saturated_time_bound(sec7):
     sat, cv = sec7["sat"], sec7["cv"]
     assert sat.spec.sigma_target == cv.spec.sigma_target == BAND
-    bound = analysis.sat_time_bound(1.0, sat.spec.controller.law, 5.0, D_BAR)
+    bound = reach_bound(sat)
     rep, cv_rep = sat.report, cv.report
-    ok = (rep.t_conv is not None and rep.t_conv <= bound + 0.1
+    ok = (rep.t_conv is not None and math.isfinite(bound) and rep.t_conv <= bound
           and abs(rep.sigma_measured - cv_rep.sigma_measured) <= SLACK)
-    verdict(8, ok, f"t_conv={rep.t_conv}, bound={bound:.3f}, "
+    verdict(8, ok, f"t_conv={rep.t_conv}, bound={bound:.4f}, "
                    f"sigma diff={abs(rep.sigma_measured - cv_rep.sigma_measured):.2e}")
 
 

@@ -139,13 +139,14 @@ def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
 def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
     p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
     out = tmp_path / "run" / "out"
+    shown = name.replace("\0", "\\x00")  # backslash-escaped
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(out)]):
         assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"configuration error: [{name}] cannot name an output file: "
-                                "no path separator, NUL, comma, '.', '..', 'summary' or "
-                                "'fig_' prefix\n")
+        assert captured.err == (f"configuration error: [{shown}] cannot name an output file: "
+                                "no path separator, NUL, comma, line break, '.', '..', "
+                                "'summary' or 'fig_' prefix\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
 
 
@@ -639,8 +640,23 @@ def test_plot_trajectory_file_with_a_comma_in_its_name_exits_2(tmp_path, capsys)
     bad.write_text((out / "still.csv").read_text())
     capsys.readouterr()
     assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (f"configuration error: {bad}: "
-                                       "a comma in the file name would split its column\n")
+    assert capsys.readouterr().err == (f"configuration error: {bad}: a comma or line "
+                                       "break in the file name would split its column\n")
+    assert not (out / "fig_sliding.csv").exists()
+
+
+@pytest.mark.parametrize("stem, shown", [("a\nb", "a\\nb"), ("a\rb", "a\\rb")],
+                         ids=["newline", "carriage_return"])
+def test_plot_trajectory_file_with_a_line_break_in_its_name_exits_2(tmp_path, capsys, stem,
+                                                                   shown):
+    # the stem would split the figure's header line; the message shows it on one line
+    out = run_small(tmp_path)
+    (out / "summary.csv").unlink()  # so that plot charts every file of the directory
+    (out / f"{stem}.csv").write_text((out / "still.csv").read_text())
+    capsys.readouterr()
+    assert cli.main(["plot", str(out), "--figure", "sliding"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {out}/{shown}.csv: a comma or "
+                                       "line break in the file name would split its column\n")
     assert not (out / "fig_sliding.csv").exists()
 
 
@@ -887,6 +903,9 @@ file_stems = st.one_of(st.text(min_size=1, max_size=8),
 @given(stem=file_stems)
 @example(stem="σ_cc")
 @example(stem="a,b")
+@example(stem="a\nb")
+@example(stem="\r")
+@example(stem="\n\udc80")
 @example(stem=os.fsdecode(b"\xffs"))
 @example(stem="summary")
 def test_plot_on_any_file_name_exits_0_or_2(tmp_path_factory, row_template_csv, small_csv,
@@ -899,11 +918,13 @@ def test_plot_on_any_file_name_exits_0_or_2(tmp_path_factory, row_template_csv, 
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_OK:
+        assert not {",", "\n", "\r"} & set(stem)  # each would split the header
         traj, expected = read_trajectory_csv(directory / f"{stem}.csv"), directory / "expected"
         row_template_csv(expected, ["t", f"s_{stem}"], [traj.t, traj.s])
         assert figure.read_bytes() == expected.read_bytes()
-    else:
+    else:  # on one line, whatever the name holds
         assert err.getvalue().startswith("configuration error: ")
+        assert err.getvalue().count("\n") == 1 and "\r" not in err.getvalue()
 
 
 def test_an_unreadable_file_is_named_as_the_parse_names_it(tmp_path):

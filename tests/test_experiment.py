@@ -287,6 +287,19 @@ class TestReadIni:
         assert accepted == configparser_accepts
 
 
+@pytest.mark.parametrize("name, shown", [("c\rc", "c\\rc"), ("a\nb", "a\\nb")],
+                         ids=["carriage_return", "newline"])
+def test_a_line_break_cannot_name_an_output_file(name, shown):
+    # it would split the name's row of summary.csv and its column of a figure's
+    # header; the config reader splits lines at "\n" alone, so "[c\rc]" reads back
+    specs = [quick_spec(name)]
+    if "\n" not in name:
+        specs = loads_config(dumps_config(specs))
+    with pytest.raises(ConfigError) as err:
+        experiment.check_output_names(specs)
+    assert str(err.value).startswith(f"[{shown}] cannot name an output file: ")
+
+
 def assert_columns_bitwise_equal(a: Trajectory, b: Trajectory) -> None:
     # tobytes, not array_equal, which takes -0.0 == 0.0
     for c in TRAJECTORY_COLUMNS:
