@@ -133,6 +133,18 @@ MUTANTS = (
            "    except ZeroDivisionError:  # fewer than two samples",
            tuple(f"tests/test_cli.py::test_chattering_window_run_cannot_fill[{case}]"
                  for case in ("default_window_one_sample", "window_between_samples"))),
+    # a failed simulation leaves `sweep` as a row: `cli.main` catches no simulation error
+    Mutant("sweep_bound_failure_raises", "src/barriersmc/experiment.py",
+           "        except (SimulationDiverged, DisturbanceBoundError) as exc:\n"
+           "            return SweepRow(",
+           "        except SimulationDiverged as exc:\n            return SweepRow(",
+           ("tests/test_experiment.py::TestSweep::test_a_disturbance_over_d_bar_is_a_row[1]",
+            "tests/test_cli.py::test_sweep_disturbance_over_d_bar_exits_3")),
+    # each simulate call starts the reference loop's controller from scratch
+    Mutant("reference_loop_reuses_caller_state", "src/barriersmc/simkernel.py",
+           "control, state = c.spec.control, ControllerState()",
+           "control, state = c.spec.control, c.state",
+           ("tests/test_simkernel.py::test_one_controller_gives_the_same_run_twice",)),
     # --- the config key reader and the trajectory files of `run`
     Mutant("number_accepts_non_finite", "src/barriersmc/experiment.py",
            "    if not math.isfinite(v):\n", "    if False:\n",
@@ -160,6 +172,11 @@ MUTANTS = (
            "enumerate(lines[1:], start=2)", "enumerate(lines[1:], start=1)",
            tuple(f"tests/test_cli.py::test_plot_malformed_trajectory_exits_2[{case}]"
                  for case in ("non_number", "short_row"))),
+    # a declared limit is met at equality
+    Mutant("expectation_limit_inclusive", "src/barriersmc/experiment.py",
+           "elif value > limit:", "elif value >= limit:",
+           tuple(f"tests/test_experiment.py::test_expectation_message[{key}-at_the_limit]"
+                 for key in ("t_conv_max", "sigma_max", "gain_max_post"))),
     # --- what `plot` looks up instead of parsing: the text of the columns `run` wrote
     Mutant("record_keyed_by_file_path", "src/barriersmc/experiment.py",
            "_WRITTEN[digest] = {", "_WRITTEN[path] = {",

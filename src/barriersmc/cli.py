@@ -29,7 +29,6 @@ from pathlib import Path
 
 from barriersmc import experiment
 from barriersmc.experiment import ConfigError
-from barriersmc.simkernel import DisturbanceBoundError, SimulationDiverged
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -95,11 +94,11 @@ def _parse_grid(text: str):
 
 def _cmd_run(args) -> int:
     specs = experiment.load_config(args.config)
-    summary = experiment.run_batch(specs, args.out)
-    sys.stdout.write(experiment.summary_csv(summary))
-    if summary.any_diverged:
+    results = experiment.run_batch(specs, args.out)
+    sys.stdout.write(experiment.summary_csv(results))
+    if any(r.error is not None for r in results):
         return EXIT_DIVERGED
-    if summary.any_failed:
+    if any(r.failures for r in results):
         return EXIT_EXPECTATION
     return EXIT_OK
 
@@ -115,9 +114,9 @@ def _cmd_sweep(args) -> int:
         base = matches[0]
     grid = _parse_grid(args.grid)
     rows = experiment.sweep(base, grid, args.target, args.budget)
-    diverged = [r.error for r in rows if r.error is not None]
-    if diverged:  # the first in grid order: the ranking keeps the order of these rows
-        print(f"simulation error: {diverged[0]}", file=sys.stderr)
+    failed = [r.error for r in rows if r.error is not None]
+    if failed:  # the first in grid order: the ranking keeps the order of these rows
+        print(f"simulation error: {failed[0]}", file=sys.stderr)
         return EXIT_DIVERGED
     text = experiment.sweep_csv(rows)
     sys.stdout.write(text)
@@ -160,9 +159,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:  # OSError: e.g. an --out path under a file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationDiverged, DisturbanceBoundError) as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

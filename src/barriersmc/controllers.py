@@ -240,9 +240,11 @@ class ControllerState:
 
 
 class Controller:
-    """One descriptor plus its mutable state; single-owner, one simulation.
+    """One descriptor plus the mutable state that `control` steps.
 
     `control` must be called once per sample in non-decreasing time order.
+    `simkernel.simulate` reads the descriptor alone and starts each run
+    from a fresh state, so a `Controller` may run any number of times.
     """
 
     def __init__(self, spec: ControllerSpec):

@@ -2,14 +2,15 @@
 columnar plot-data emission.
 
 Config format: INI sections, one experiment per section, read by a strict
-reader of our own. A line is blank, a full-line comment whose first
-non-blank character is `#` or `;`, a `[name]` header (the name is taken
-verbatim between the brackets; nothing may follow the `]`), or a
-`key = value` line, split at the first `=`, with the key and the value
-stripped of surrounding blanks. Anything else is a ConfigError that names
-`source:line`: a `key: value` line, an indented continuation line, a
-`[DEFAULT]` section, a header followed by text, an empty header, a key
-before any section, and a duplicate section or key; so is a file that
+reader of our own. A line ends at "\n" alone, in a file as in a string,
+and a "\r" before it is stripped as a blank. A line is blank, a full-line
+comment whose first non-blank character is `#` or `;`, a `[name]` header
+(the name is taken verbatim between the brackets; nothing may follow the
+`]`), or a `key = value` line, split at the first `=`, with the key and
+the value stripped of surrounding blanks. Anything else is a ConfigError
+that names `source:line`: a `key: value` line, an indented continuation
+line, a `[DEFAULT]` section, a header followed by text, an empty header, a
+key before any section, and a duplicate section or key; so is a file that
 does not decode as text. The schema is strict too: unknown keys and
 missing required keys are rejected with the section and field named, so a
 typo fails loudly instead of silently simulating the wrong controller.
@@ -46,7 +47,8 @@ expect_final_inside, expect_escapes_all_reenter,
 expect_no_reentry_after_last_escape   optional declared expectations
 
 A simulation that diverges or whose disturbance exceeds d_bar does not
-raise out of `run_experiment`: it becomes an `error` row of the summary.
+raise out of `run_experiment` or `sweep`: it becomes the `error` of its
+result row, an `ExperimentResult` or a `SweepRow`.
 
 Work split over the CPUs
 ------------------------
@@ -65,7 +67,7 @@ accepts only that form: a wrong header, no data rows, a blank or `#` line,
 a row of another field count or a field that is not a number, in any
 column, is a ConfigError that names the first bad line by its 1-based
 number in the file (the header is line 1), so `barriersmc plot` exits 2
-on a malformed file.
+on a malformed file. A line ends at "\n" or "\r\n" alone.
 
 Both writers build their rows from column text that one function makes,
 `_texts`: it cuts each float column into chunks of _CHUNK_ROWS values,
@@ -500,8 +502,9 @@ def load_config(path) -> List[ExperimentSpec]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text()
+    try:  # newline="": a line ends at "\n" alone, as `loads_config` splits it
+        with open(path, newline="") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return loads_config(text, source=str(path))
@@ -647,8 +650,9 @@ def _first_bad_line(lines: List[str], width: int) -> str:
         if len(fields) != width:
             return f"line {n}: {len(fields)} fields, expected {width}"
         for col, value in enumerate(fields):
-            try:  # the parser that rejected the file, one field at a time
-                np.loadtxt([line], delimiter=",", comments=None, usecols=col)
+            try:  # the parser that rejected the file, on this field alone: a "\r"
+                # within a line fails every column of it
+                np.loadtxt(["," + value], delimiter=",", comments=None, usecols=1)
             except ValueError:
                 return f"line {n}: {TRAJECTORY_COLUMNS[col]} is not a number: {value!r}"
     return "data rows do not parse as numbers"
@@ -659,7 +663,8 @@ def read_trajectory_csv(path) -> Trajectory:
     `write_trajectory_csv` writes; any other file is a ConfigError."""
     header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
     try:  # ConfigError and UnicodeDecodeError are ValueErrors: both get the path
-        lines = Path(path).read_text().splitlines()
+        with open(path, newline="") as f:  # a line ends at "\n" alone, or "\r\n"
+            lines = f.read().replace("\r\n", "\n").removesuffix("\n").split("\n")
         if len(lines) < 2 or lines[0] != header:
             raise ConfigError(f"not a trajectory CSV: needs the header {header}, "
                               "then data rows")
@@ -688,60 +693,35 @@ class ExperimentResult:
     failures: Tuple[str, ...]
     error: Optional[str] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.error is None and not self.failures
-
-
-@dataclass(frozen=True)
-class BatchSummary:
-    results: Tuple[ExperimentResult, ...]
-
-    @property
-    def any_failed(self) -> bool:
-        return any(r.failures for r in self.results)
-
-    @property
-    def any_diverged(self) -> bool:
-        return any(r.error is not None for r in self.results)
-
 
 def _check_expectations(spec: ExperimentSpec, traj: Trajectory,
                         report: Optional[analysis.ConvergenceReport],
                         gain_max_post: Optional[float]) -> Tuple[str, ...]:
     e = spec.expect
+    if report is None:  # no sigma_target, so no expectation is declared
+        return ()
     failures = []
-
-    def fail(msg):
-        failures.append(msg)
-
-    if e.t_conv_max is not None:
-        if report.t_conv is None:
-            fail("expect_t_conv_max: no convergence")
-        elif report.t_conv > e.t_conv_max:
-            fail(f"expect_t_conv_max: {report.t_conv:g} > {e.t_conv_max:g}")
-    if e.sigma_max is not None:
-        if report.t_conv is None:
-            fail("expect_sigma_max: no convergence")
-        elif report.sigma_measured > e.sigma_max:
-            fail(f"expect_sigma_max: {report.sigma_measured:g} > {e.sigma_max:g}")
-    if e.gain_max_post is not None:
-        if gain_max_post is None:
-            fail("expect_gain_max_post: no post-convergence window")
-        elif gain_max_post > e.gain_max_post:
-            fail(f"expect_gain_max_post: {gain_max_post:g} > {e.gain_max_post:g}")
+    settled = report.t_conv is not None
+    for name, limit, value, missing in (
+            ("t_conv_max", e.t_conv_max, report.t_conv, "no convergence"),
+            ("sigma_max", e.sigma_max, report.sigma_measured if settled else None,
+             "no convergence"),
+            ("gain_max_post", e.gain_max_post, gain_max_post, "no post-convergence window")):
+        if limit is None:
+            continue
+        if value is None:
+            failures.append(f"expect_{name}: {missing}")
+        elif value > limit:
+            failures.append(f"expect_{name}: {value:g} > {limit:g}")
     if e.final_inside is not None:
-        inside = abs(float(traj.s[-1])) <= spec.sigma_target
-        if inside != e.final_inside:
-            fail(f"expect_final_inside: final |s| = {abs(float(traj.s[-1])):g}")
-    if e.escapes_all_reenter:
-        if any(reentry is None for _, reentry in report.escapes):
-            fail("expect_escapes_all_reenter: open escape found")
-    if e.no_reentry_after_last_escape:
-        if report.t_conv is not None or not report.escapes:
-            fail("expect_no_reentry_after_last_escape: no terminal escape")
-        elif report.escapes[-1][1] is not None:
-            fail("expect_no_reentry_after_last_escape: last escape reentered")
+        final = abs(float(traj.s[-1]))
+        if (final <= spec.sigma_target) != e.final_inside:
+            failures.append(f"expect_final_inside: final |s| = {final:g}")
+    if e.escapes_all_reenter and any(reentry is None for _, reentry in report.escapes):
+        failures.append("expect_escapes_all_reenter: open escape found")
+    # a run that does not converge ends outside the band: its last escape is open
+    if e.no_reentry_after_last_escape and (settled or not report.escapes):
+        failures.append("expect_no_reentry_after_last_escape: no terminal escape")
     return tuple(failures)
 
 
@@ -775,10 +755,10 @@ def _fmt_opt(v: Optional[float]) -> str:
     return "" if v is None else FLOAT_FMT % v
 
 
-def summary_csv(summary: BatchSummary) -> str:
+def summary_csv(results: Sequence[ExperimentResult]) -> str:
     lines = ["name,t_conv,sigma_target,sigma_measured,gain_max_post,"
              "total_variation,status,detail"]
-    for r in summary.results:
+    for r in results:
         rep = r.report
         status = "error" if r.error else ("fail" if r.failures else "pass")
         detail = r.error if r.error else ";".join(r.failures)
@@ -795,10 +775,10 @@ def summary_csv(summary: BatchSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
+def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> Tuple[ExperimentResult, ...]:
     """Run every spec, write one summary.csv and, for each experiment that
     recorded a sample, `<name>.csv` with its trajectory, and return the
-    summary. An experiment that recorded none (no trajectory, or a
+    results in spec order. An experiment that recorded none (no trajectory, or a
     divergence at its first sample) has any earlier `<name>.csv` deleted,
     so no file of the directory passes for its output. Rerunning a batch
     overwrites the outputs with identical content. A name
@@ -808,7 +788,7 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
     check_output_names(specs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = [run_experiment(s) for s in specs]
+    results = tuple(run_experiment(s) for s in specs)
     _WRITTEN.clear()
     written = []  # (trajectory, path)
     for r in results:
@@ -822,9 +802,8 @@ def run_batch(specs: Sequence[ExperimentSpec], out_dir) -> BatchSummary:
         cols = dict(zip(TRAJECTORY_COLUMNS, texts))  # the next six texts
         digest = write_trajectory_csv(traj, path, list(cols.values()))
         _WRITTEN[digest] = {c: cols[c] for c in FIGURE_COLUMNS}
-    summary = BatchSummary(tuple(results))
-    (out_dir / "summary.csv").write_text(summary_csv(summary))
-    return summary
+    (out_dir / "summary.csv").write_text(summary_csv(results))
+    return results
 
 
 # --- parameter sweep -------------------------------------------------------
@@ -837,7 +816,7 @@ class SweepRow:
     peak_u: float
     t_conv: Optional[float]
     feasible: bool
-    error: Optional[str] = None  # why the point's simulation diverged
+    error: Optional[str] = None  # why the point's simulation failed
 
 
 def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
@@ -845,9 +824,10 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
     """Evaluate (rho, lam) grid points on the base experiment: predicted
     ultimate bound, peak |u|, convergence time into the target band.
     Feasible points (bound <= target and peak within budget) rank first,
-    ordered by convergence time. A point whose simulation diverges is an
-    infeasible row with no convergence time, an infinite peak |u| and the
-    divergence as its error; such rows keep their grid order. A non-finite
+    ordered by convergence time. A point whose simulation diverges, or
+    whose disturbance exceeds d_bar, is an infeasible row with no
+    convergence time, an infinite peak |u| and the failure as its error;
+    such rows keep their grid order. A non-finite
     target or budget, or a grid point with no valid law or no finite bound,
     is a ConfigError that names it, raised before anything is simulated."""
     if not grid:
@@ -875,7 +855,7 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         ctrl = replace(base.controller, law=law)
         try:
             traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
-        except SimulationDiverged as exc:
+        except (SimulationDiverged, DisturbanceBoundError) as exc:
             return SweepRow(rho, lam, bound, math.inf, None, False, error=str(exc))
         peak_u = float(np.abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all

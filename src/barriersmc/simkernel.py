@@ -34,12 +34,14 @@ The kernel's contract
 - Three loops, one per controller shape. A descriptor with a `law`,
   that is one built on a class-Kinf law (`KInfty`, `SaturatedKInfty`,
   `TbgIntegral`), has its control inlined from the bound `law.gain` and
-  its `cap` on the commanded gain, which its own `control` reads too,
-  and does not have `Controller.state` written. It runs in the relay
-  loop when its `tbg_columns(s0, h, n)` is None, else in the TBG loop.
-  Every other descriptor (`ObeidTwoPhase`, `FixedSign`) runs in the
-  reference loop, which calls its `control(state, t, s, h)` once per step
-  and stores s, u and the gain. The relay and TBG loops give the bytes
+  its `cap` on the commanded gain, which its own `control` reads too.
+  It runs in the relay loop when its `tbg_columns(s0, h, n)` is None,
+  else in the TBG loop. Every other descriptor (`ObeidTwoPhase`,
+  `FixedSign`) runs in the reference loop, which calls its
+  `control(state, t, s, h)` once per step on a fresh `ControllerState`
+  and stores s, u and the gain. No loop reads or writes
+  `Controller.state`, so one `Controller` gives the same run every
+  time. The relay and TBG loops give the bytes
   that the reference loop gives, with zero tolerance; the
   reference-oracle test and the variant pins hold them to that.
 - The relay loop (u = -g*sign(s), g = min(K(|s|), cap)) stores only s
@@ -92,7 +94,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from barriersmc.controllers import Controller
+from barriersmc.controllers import Controller, ControllerState
 from barriersmc.gains import BarrierPoleError
 
 
@@ -355,7 +357,7 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
     s, k = cfg.s0, 0
     try:
         if law is None:  # the reference path: the descriptor's own control
-            control, state = c.spec.control, c.state
+            control, state = c.spec.control, ControllerState()
             for k, dk in zip(range(m), column):
                 u = control(state, k * h, s, h)
                 ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max

@@ -135,11 +135,13 @@ def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
     assert proc.stderr.startswith("simulation error: ")
 
 
-@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b", "a,b"])
+@pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b", "a,b",
+                                  "c\rc"])
 def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
+    # a "\r" does not end the header's line: the reader ends lines at "\n" alone
     p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
     out = tmp_path / "run" / "out"
-    shown = name.replace("\0", "\\x00")  # backslash-escaped
+    shown = name.replace("\0", "\\x00").replace("\r", "\\r")  # backslash-escaped
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(out)]):
         assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
@@ -455,6 +457,18 @@ def test_sweep_names_the_first_diverging_point_in_grid_order(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_sweep_disturbance_over_d_bar_exits_3(tmp_path, capsys):
+    # piecewise_vii reaches |d| = 0.19837 at t = 5.001, over a declared 0.15
+    p = write(tmp_path, SEC7.read_text().replace("d_bar = 0.2", "d_bar = 0.15"))
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", str(p), "--grid", "rho=1,2;lam=0.01366", "--target", "3.52e-3",
+                     "--budget", "10", "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    assert capsys.readouterr() == (
+        "", "simulation error: |d(5.001)| = 0.19837 exceeds declared d_bar = 0.15\n")
+    assert not out.exists()
+
+
 def test_outputs_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus, forks):
     # both campaigns cut to 1.5 s; the full-length bytes are the replay
     # golden's. Each figure is plotted from the run's record, then from the
@@ -767,11 +781,11 @@ def test_writing_into_a_run_result_does_not_change_the_figure(tmp_path, monkeypa
     # caller's arrays; the escape overlay also checks the grid and the d column
     out = tmp_path / "out"
     text = SMALL + "\n" + SMALL.replace("[still]", "[other]").replace("k = 0.0", "k = 1.0")
-    summary = experiment.run_batch(experiment.loads_config(text), out)
+    results = experiment.run_batch(experiment.loads_config(text), out)
     files = [out / "still.csv", out / "other.csv"]
     figures = [tmp_path / "before.csv", tmp_path / "after.csv"]
     experiment.emit_plot_data(files, "escape", figures[0])
-    for r in summary.results:  # the caller's arrays stay writable
+    for r in results:  # the caller's arrays stay writable
         for c in TRAJECTORY_COLUMNS:
             getattr(r.trajectory, c)[:] = 7.0 + len(r.spec.name)
     monkeypatch.setattr(experiment, "read_trajectory_csv", no_parse)

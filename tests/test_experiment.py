@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -100,6 +101,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("name, eol", [("c\rc", "\n"), ("c", "\r\n")],
+                             ids=["carriage_return_in_a_name", "crlf_lines"])
+    def test_a_file_reads_as_its_text(self, tmp_path, name, eol):
+        # a line ends at "\n" alone; a "\r" before it is a blank that the reader strips
+        text = dumps_config([quick_spec(name)]).replace("\n", eol)
+        p = tmp_path / "x.cfg"
+        p.write_text(text, newline="")
+        assert load_config(p) == loads_config(text) == [quick_spec(name)]
 
     def test_unknown_key_named_in_error(self):
         text = ("[x]\ncontroller = fixed_sign\nk = 1.0\n"
@@ -379,6 +389,40 @@ class TestTrajectoryCsv:
                 TRAJECTORY_COLUMNS[:k], experiment._texts(list(cols[:k])))) == (
                     expected.read_bytes())
 
+    @staticmethod
+    def _write(path, rows):
+        path.write_text("\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n", newline="")
+
+    # str.splitlines ends a line at each of these characters; a line ends at "\n" alone
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028", "\r"],
+                             ids=["form_feed", "next_line", "line_separator", "carriage_return"])
+    def test_a_line_break_character_within_a_field_is_not_a_number(self, tmp_path, char):
+        p = tmp_path / "t.csv"
+        self._write(p, ["0,1,2,3,4,5", f"0,1{char}1,2,3,4,5", "0,1,2,3,4,5"])
+        with pytest.raises(ConfigError) as err:
+            read_trajectory_csv(p)
+        assert str(err.value) == f"{p}: line 3: s is not a number: {'1' + char + '1'!r}"
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"],
+                             ids=["form_feed", "next_line", "line_separator"])
+    def test_a_blank_at_the_edge_of_a_field_ends_no_line(self, tmp_path, char):
+        # np.loadtxt strips it from the field, as it strips a space
+        rows, p = ["0,1,2,3,4,5"] * 4, tmp_path / "t.csv"
+        self._write(p, [rows[0] + char, *rows[1:]])
+        assert_columns_bitwise_equal(read_trajectory_csv(p), Trajectory(*np.array(
+            [[0.0, 1, 2, 3, 4, 5]] * 4).T))
+        self._write(p, [rows[0] + char, *rows[1:3], "0,x,2,3,4,5"])
+        with pytest.raises(ConfigError) as err:
+            read_trajectory_csv(p)
+        assert str(err.value) == f"{p}: line 5: s is not a number: 'x'"
+
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        res = run_experiment(quick_spec())
+        p = tmp_path / "t.csv"
+        write_trajectory_csv(res.trajectory, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        assert_columns_bitwise_equal(read_trajectory_csv(p), res.trajectory)
+
     def test_rejects_foreign_csv(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("a,b\n1,2\n")
@@ -400,17 +444,15 @@ class TestRunBatch:
     def test_expectation_failure_recorded(self, tmp_path):
         spec = quick_spec("strict", FixedSign(0.0), sigma_target=0.5,
                           expect=Expectations(sigma_max=1e-6))
-        summary = run_batch([spec], tmp_path)
-        assert summary.any_failed
-        row = summary.results[0]
-        assert not row.passed
+        (row,) = run_batch([spec], tmp_path)
+        assert row.error is None and row.failures
         assert any("expect_sigma_max" in f for f in row.failures)
 
     def test_summary_matches_rederivation_from_csv(self, tmp_path):
         specs = load_config(SEC3)
         out = tmp_path / "out"
-        summary = run_batch(specs, out)
-        for spec, res in zip(specs, summary.results):
+        results = run_batch(specs, out)
+        for spec, res in zip(specs, results):
             traj = read_trajectory_csv(out / f"{spec.name}.csv")
             rep = analysis.convergence_time(traj, spec.sigma_target)
             assert rep.t_conv == (res.report.t_conv if res.report else None)
@@ -419,8 +461,8 @@ class TestRunBatch:
     def test_a_divergence_at_the_first_sample_writes_no_csv(self, tmp_path):
         # the convex gain overflows at |s0| = 1: u is non-finite at t = 0
         spec = quick_spec("x", KInfty(ConvexParams(1e300, 1e-300)))
-        summary = run_batch([spec], tmp_path)
-        assert summary.results[0].error == "control non-finite at t = 0"
+        (result,) = run_batch([spec], tmp_path)
+        assert result.error == "control non-finite at t = 0"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
     def test_zero_gain_zero_disturbance_constant_column(self, tmp_path):
@@ -436,10 +478,10 @@ class TestRunBatch:
 
         specs = [quick_spec(name, disturbance=zeros(v), sim=SimConfig(1.0, 0.1, 1.0))
                  for name, v in (("plus", 0.0), ("minus", -0.0))]
-        summary = run_batch(specs, tmp_path)
-        plus, minus = (r.trajectory.d for r in summary.results)
+        results = run_batch(specs, tmp_path)
+        plus, minus = (r.trajectory.d for r in results)
         assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
-        for r in summary.results:
+        for r in results:
             parsed = read_trajectory_csv(tmp_path / f"{r.spec.name}.csv")
             assert_columns_bitwise_equal(parsed, r.trajectory)
 
@@ -474,6 +516,61 @@ class TestRunBatch:
         assert not text_ids(experiment._WRITTEN) & text_ids(record)
 
 
+# FixedSign(1) from s0 = 1 with h = 0.25 and no disturbance steps s through
+# 1, 0.75, 0.5, 0.25 and then rests at 0: it settles into the band 0.5 at
+# t = 0.5 with sigma_measured = 0.5 and a gain of 1, and 1 s later the
+# settle pad ends. FixedSign(0) never moves; under a constant d = 1, s
+# leaves the band at t = 0.5 for good.
+RISE = DisturbanceSpec(CustomTable((0.0, 10.0), (1.0, 1.0)), 1.0)
+
+
+def _expecting(k, t_end=5.0, s0=1.0, disturbance=QUIET, **expect):
+    return quick_spec("x", FixedSign(k), disturbance=disturbance,
+                      sim=SimConfig(s0, 0.25, t_end), sigma_target=0.5,
+                      expect=Expectations(**expect))
+
+
+@pytest.mark.parametrize("spec, failure", [
+    pytest.param(_expecting(0.0, t_conv_max=1.0), "expect_t_conv_max: no convergence",
+                 id="t_conv_max-missing"),
+    pytest.param(_expecting(1.0, t_conv_max=0.25), "expect_t_conv_max: 0.5 > 0.25",
+                 id="t_conv_max-exceeded"),
+    pytest.param(_expecting(1.0, t_conv_max=0.5), None, id="t_conv_max-at_the_limit"),
+    pytest.param(_expecting(0.0, sigma_max=1.0), "expect_sigma_max: no convergence",
+                 id="sigma_max-missing"),
+    pytest.param(_expecting(1.0, sigma_max=0.25), "expect_sigma_max: 0.5 > 0.25",
+                 id="sigma_max-exceeded"),
+    pytest.param(_expecting(1.0, sigma_max=0.5), None, id="sigma_max-at_the_limit"),
+    pytest.param(_expecting(1.0, t_end=1.0, gain_max_post=1.0),
+                 "expect_gain_max_post: no post-convergence window",
+                 id="gain_max_post-missing"),
+    pytest.param(_expecting(1.0, gain_max_post=0.5), "expect_gain_max_post: 1 > 0.5",
+                 id="gain_max_post-exceeded"),
+    pytest.param(_expecting(1.0, gain_max_post=1.0), None, id="gain_max_post-at_the_limit"),
+    pytest.param(_expecting(0.0, final_inside=True), "expect_final_inside: final |s| = 1",
+                 id="final_inside-outside"),
+    pytest.param(_expecting(1.0, final_inside=False), "expect_final_inside: final |s| = 0",
+                 id="final_inside-inside"),
+    pytest.param(_expecting(0.0, s0=0.25, disturbance=RISE, escapes_all_reenter=True),
+                 "expect_escapes_all_reenter: open escape found",
+                 id="escapes_all_reenter-open"),
+    pytest.param(_expecting(1.0, no_reentry_after_last_escape=True),
+                 "expect_no_reentry_after_last_escape: no terminal escape",
+                 id="no_reentry_after_last_escape-converged"),
+    pytest.param(_expecting(0.0, no_reentry_after_last_escape=True),
+                 "expect_no_reentry_after_last_escape: no terminal escape",
+                 id="no_reentry_after_last_escape-never_entered"),
+    pytest.param(_expecting(0.0, s0=0.25, disturbance=RISE,
+                            no_reentry_after_last_escape=True), None,
+                 id="no_reentry_after_last_escape-open"),
+])
+def test_expectation_message(tmp_path, spec, failure):
+    assert run_experiment(spec).failures == (() if failure is None else (failure,))
+    run_batch([spec], tmp_path)
+    row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[-2:] == (["pass", ""] if failure is None else ["fail", failure])
+
+
 class TestSweep:
     def base(self):
         return [s for s in load_config(SEC7) if s.name == "sat"][0]
@@ -499,6 +596,18 @@ class TestSweep:
                         experiment.SweepRow(25.0, 0.01, bound, math.inf, None, False,
                                             "control non-finite at t = 0.654")]
         assert rows[0].error is None
+
+    @pytest.mark.parametrize("ncpu", [1, 2])
+    def test_a_disturbance_over_d_bar_is_a_row(self, cpus, forks, ncpu):
+        # piecewise_vii reaches |d| = 0.19837 at t = 5.001, over a declared 0.15
+        cpus(ncpu)
+        cc = [s for s in load_config(SEC7) if s.name == "cc"][0]
+        cc = dataclasses.replace(cc, disturbance=DisturbanceSpec(PiecewiseVII(), 0.15))
+        rows = sweep(cc, [(1.0, 0.01366), (2.0, 0.01366)], 3.52e-3, 10.0)
+        assert len(forks) == ncpu - 1
+        error = "|d(5.001)| = 0.19837 exceeds declared d_bar = 0.15"
+        assert [(r.rho, r.peak_u, r.t_conv, r.feasible, r.error) for r in rows] == \
+            [(1.0, math.inf, None, False, error), (2.0, math.inf, None, False, error)]
 
     def test_zero_target_infeasible(self):
         rows = sweep(self.base(), [(5.0, 0.05)], 0.0, 10.0)

@@ -480,8 +480,21 @@ def test_a_later_pole_does_not_hide_the_state_divergence():
     assert exc.value.__cause__ is None and len(exc.value.trajectory) == 1024
 
 
-@pytest.mark.parametrize("name", FUSED)
+# every variant: the fused loops and the reference loop
+VARIANTS = {**FUSED, "obeid": ObeidTwoPhase(PsbParams(0.1, 1.0)), "fixed_sign": FixedSign(0.5)}
+
+
+@pytest.mark.parametrize("name", VARIANTS)
 def test_fused_loop_leaves_the_controller_state_alone(name):
-    c = Controller(FUSED[name])
+    c = Controller(VARIANTS[name])
     simulate(c, VII, SimConfig(1.0, 1e-3, 0.5))
     assert c.state == ControllerState()
+
+
+def test_one_controller_gives_the_same_run_twice():
+    # obeid's adaptive gain k_a grows while it reaches: a second run that
+    # started from the first run's state would start with a larger gain
+    c = Controller(ObeidTwoPhase(PsbParams(0.1, 1.0)))
+    runs = [simulate(c, VII, SimConfig(1.0, 1e-3, 2.0)) for _ in range(2)]
+    first, second = ([getattr(r, col).tobytes() for col in COLUMNS] for r in runs)
+    assert first == second
