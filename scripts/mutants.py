@@ -92,8 +92,10 @@ MUTANTS = (
            "u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0", "u = -math.copysign(g, s)",
            (ORACLE, f"{EDGE}[kinfty_concave_s0_-0]", f"{EDGE}[kinfty_convex_s0_-0]",
             f"{EDGE}[saturated_s0_-0]")),
+    # kg = -0.0 from t_f on would freeze the feedforward as +0.0 * z
     Mutant("tbg_frozen_feedforward_as_positive_zero", "src/barriersmc/controllers.py",
-           "kgs.append(0.0)", "kgs.append(-0.0)", (f"{EDGE}[tbg_rests_on_the_surface]",)),
+           "                break\n", "                w[-1] = 0.0 * zk\n                break\n",
+           (f"{EDGE}[tbg_rests_on_the_surface]",)),
     Mutant("relay_gain_column_from_unwritten_records", "src/barriersmc/simkernel.py",
            "np.abs(u) if relay else np.frombuffer(records[2], count=k)",
            "np.frombuffer(records[2], count=k)", (ORACLE,)),
@@ -122,6 +124,11 @@ MUTANTS = (
            'frozenset(",\\n\\r")', 'frozenset(",")',
            ("tests/test_cli.py::"
             "test_plot_trajectory_file_with_a_line_break_in_its_name_exits_2[newline]",)),
+    # `<name>.csv` longer than a file name fails only once `run` writes it
+    Mutant("long_name_accepted", "src/barriersmc/experiment.py",
+           '\n                or len(os.fsencode(name + ".csv")) > 255):', "):",
+           tuple(f"tests/test_cli.py::test_name_that_cannot_name_an_output_file_exits_2[{case}]"
+                 for case in ("252_ascii_bytes", "126_two_byte_characters"))),
     # only `validate` runs: `run` would start the huge simulation
     Mutant("step_count_unchecked", "src/barriersmc/simkernel.py",
            "self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS", "self.t_end >= self.h",

@@ -13,7 +13,8 @@ sweep grid axis given twice, an invalid sweep grid point and a step h so
 small that t_end / h exceeds simkernel.MAX_STEPS. For `run` and
 `validate` it covers an experiment name that cannot name its output
 file: one holding a path separator, a NUL, a comma or a line break, `.`,
-`..`, `summary` or a name starting with `fig_`. For `plot` it covers a
+`..`, `summary`, a name starting with `fig_` or one whose `<name>.csv`
+exceeds the 255 bytes of a file name. For `plot` it covers a
 trajectory file whose name holds a comma or a line break or does not
 encode in the locale's encoding. Each such message shows the name
 backslash-escaped, on one line. A chattering window that holds fewer
@@ -119,9 +120,9 @@ def _cmd_sweep(args) -> int:
         print(f"simulation error: {failed[0]}", file=sys.stderr)
         return EXIT_DIVERGED
     text = experiment.sweep_csv(rows)
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first: an --out that cannot be written leaves stdout empty
         Path(args.out).write_text(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

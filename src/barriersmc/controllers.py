@@ -25,8 +25,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from barriersmc.gains import KinfLaw, PsbParams
 
 
@@ -160,44 +158,21 @@ class TbgIntegral(_KinfLawSpec):
 
     tbg: TbgParams
 
-    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
     def tbg_columns(self, s0: float, h: float, n: int) -> Tuple[array, array]:
         """z_k and w_k = -kg(k*h)*z_k for k = 0..n, with z_k the Euler
         recurrence z' = -kg*z from z_0 = s0, as `control` steps it: the
         columns of `simulate`'s TBG loop. From the first k*h >= t_f on, kg
         is 0.0, so both are frozen: a finite z no longer moves, as it is
         not -0.0 there (kg(0) = 0.0 turns a z_0 = -0.0 into +0.0 at step
-        0), and w stays -0.0 * z.
-
-        kg is `tbg_kg` at each k*h, computed with numpy in its operation
-        order and `math.sin`/`math.cos` on Python floats, so bit for bit;
-        only the recurrence is a Python loop."""
-        t_f, delta = self.tbg.t_f, self.tbg.delta
-        t = np.arange(n + 1) * h
-        ramp = int(t.searchsorted(t_f))  # the samples with k*h < t_f
-        x = math.pi * t[:ramp]
-        x /= t_f
-        xs = x.tolist()  # math.sin and math.cos: numpy's differ in the last bit
-        den = np.array(list(map(math.cos, xs)))
-        np.subtract(1.0, den, out=den)
-        den *= 0.5  # tbg_zeta
-        np.subtract(1.0, den, out=den)
-        den += delta
-        kg = np.array(list(map(math.sin, xs)))
-        kg *= 0.5 * math.pi
-        kg /= t_f  # tbg_zeta_dot
-        kg /= den
-        kgs = kg.tolist()
-        if ramp <= n:
-            kgs.append(0.0)  # tbg_kg from t_f on
-        z, zk = [s0], s0
-        for g in kgs[:-1]:
-            zk -= h * g * zk
+        0), and w stays -0.0 * z."""
+        z, w, zk = array("d"), array("d"), s0
+        for k in range(n + 1):
+            kg = tbg_kg(k * h, self.tbg)
             z.append(zk)
-        z = array("d", z)
-        w = np.negative(kgs)
-        w *= np.frombuffer(z)
-        w = array("d", w.tobytes())
+            w.append(-kg * zk)
+            if k * h >= self.tbg.t_f:
+                break
+            zk -= h * kg * zk
         rest = n + 1 - len(z)
         return z + z[-1:] * rest, w + w[-1:] * rest
 

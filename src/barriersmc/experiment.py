@@ -530,15 +530,16 @@ def _one_line(name) -> str:
 def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
     """Reject a name whose `<name>.csv` would leave the output directory,
     clash with `summary.csv` or a `fig_*.csv` that `plot` writes there,
-    hold a NUL, which no file name can, or hold a comma or a line break,
+    hold a NUL, which no file name can, hold a comma or a line break,
     which would split its field of `summary.csv` and its column of a
-    figure's header."""
+    figure's header, or exceed the 255 bytes of a file name."""
     for name in (s.name for s in specs):
         if (name in (".", "..", "summary") or name.startswith("fig_")
-                or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name)):
+                or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name)
+                or len(os.fsencode(name + ".csv")) > 255):
             raise ConfigError(f"[{_one_line(name)}] cannot name an output file: no path "
-                              "separator, NUL, comma, line break, '.', '..', 'summary' or "
-                              "'fig_' prefix")
+                              "separator, NUL, comma, line break, '.', '..', 'summary', "
+                              "'fig_' prefix or over 251 bytes")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:

@@ -56,12 +56,11 @@ The kernel's contract
   depends on the plant, so both are columns, z_k and w_k for k = 0..n,
   that the descriptor's `tbg_columns(s0, h, n)` builds before the loop:
   `TbgIntegral`'s auxiliary state and feedforward term as its `control`
-  computes them, bit for bit. Its rate kg(t_k) is a column built as a
-  signal's is, from `tbg_kg`'s formulas; only the z recurrence is a
-  Python loop, and w = -kg*z is one numpy product. A caller may build
-  them once and pass them in, as a sweep does for the grid points of one
-  base: then `tbg` must equal
-  `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
+  computes them, bit for bit: one Python loop steps `control`'s
+  recurrence with `tbg_kg(t_k)` up to the first t_k >= t_f, where kg is
+  0.0 and both columns freeze. A caller may build them once and pass
+  them in, as a sweep does for the grid points of one base: then `tbg`
+  must equal `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a

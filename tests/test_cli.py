@@ -135,8 +135,13 @@ def test_sweep_divergence_prints_one_stderr_line_in_a_fresh_interpreter():
     assert proc.stderr.startswith("simulation error: ")
 
 
+# `<name>.csv` over 255 bytes, the longest file name, whether a byte is a character or not
+LONG_NAMES = [pytest.param("x" * 252, id="252_ascii_bytes"),
+              pytest.param("é" * 126, id="126_two_byte_characters")]
+
+
 @pytest.mark.parametrize("name", ["summary", "fig_sliding", "../escaped", "a\0b", "a,b",
-                                  "c\rc"])
+                                  "c\rc", *LONG_NAMES])
 def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
     # a "\r" does not end the header's line: the reader ends lines at "\n" alone
     p = write(tmp_path, QUICK.replace("[still]", f"[{name}]"))
@@ -148,8 +153,27 @@ def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
         assert captured.out == ""
         assert captured.err == (f"configuration error: [{shown}] cannot name an output file: "
                                 "no path separator, NUL, comma, line break, '.', '..', "
-                                "'summary' or 'fig_' prefix\n")
+                                "'summary', 'fig_' prefix or over 251 bytes\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
+
+
+@settings(deadline=None, max_examples=100)
+@given(name=st.text())
+@example(name="x" * 252)
+@example(name="é" * 126)
+@example(name="x" * 251)  # the longest name: `<name>.csv` is 255 bytes
+@example(name="\ud800")  # the file does not decode: no name is read
+def test_a_name_that_validates_is_a_name_that_run_writes(tmp_path_factory, name):
+    tmp = tmp_path_factory.mktemp("name")
+    cfg, out = tmp / "c.cfg", tmp / "out"
+    text = QUICK.replace("[still]", f"[{name}]").replace("h = 0.001", "h = 0.1")
+    cfg.write_bytes(text.encode("utf-8", "surrogatepass"))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(["validate", str(cfg)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+        if code == cli.EXIT_OK:
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            assert (out / f"{name}.csv").is_file()
 
 
 def test_sweep_gain_overflow_exits_3(capsys):
@@ -455,6 +479,17 @@ def test_sweep_names_the_first_diverging_point_in_grid_order(tmp_path, capsys, c
     assert code == cli.EXIT_DIVERGED and len(forks) == ncpu - 1
     assert capsys.readouterr() == ("", "simulation error: control non-finite at t = 0.654\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "afile"])
+def test_sweep_out_that_cannot_be_written_exits_2_with_empty_stdout(tmp_path, capsys, parent):
+    write(tmp_path, "", "afile")
+    code = cli.main(["sweep", str(SEC7), "--experiment", "cv", "--grid", "rho=1;lam=0.01366",
+                     "--target", "3.52e-3", "--budget", "10",
+                     "--out", str(tmp_path / parent / "sweep.csv")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
 
 
 def test_sweep_disturbance_over_d_bar_exits_3(tmp_path, capsys):
