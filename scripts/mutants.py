@@ -61,8 +61,8 @@ MUTANTS = (
            tuple(f"{PINS}[kinfty-concave-{d}]"
                  for d in ("custom", "piecewise_vii", "sinusoid"))),
     Mutant("table_interpolation_regrouped", "src/barriersmc/simkernel.py",
-           "        v1 *= t - t0\n        v1 /= t1 - t0\n",
-           "        v1 *= (t - t0) / (t1 - t0)\n",
+           "            v1 *= t - t0\n            v1 /= t1 - t0\n",
+           "            v1 *= (t - t0) / (t1 - t0)\n",
            tuple(f"{PINS}[{c}-custom]"
                  for c in ("fixed_sign", "kinfty-concave", "kinfty-convex"))),
     Mutant("writer_turns_negative_zero_positive", "src/barriersmc/fieldtext.py",
@@ -126,9 +126,14 @@ MUTANTS = (
             "test_plot_trajectory_file_with_a_line_break_in_its_name_exits_2[newline]",)),
     # `<name>.csv` longer than a file name fails only once `run` writes it
     Mutant("long_name_accepted", "src/barriersmc/experiment.py",
-           '\n                or len(os.fsencode(name + ".csv")) > 255):', "):",
+           'len(os.fsencode(name + ".csv")) <= 255', 'len(os.fsencode(name + ".csv")) > 0',
            tuple(f"tests/test_cli.py::test_name_that_cannot_name_an_output_file_exits_2[{case}]"
                  for case in ("252_ascii_bytes", "126_two_byte_characters"))),
+    # a lone surrogate fails `os.fsencode`: a traceback, not a configuration error
+    Mutant("unencodable_name_accepted", "src/barriersmc/experiment.py",
+           "            fits = False\n", "            fits = True\n",
+           ("tests/test_experiment.py::"
+            "test_a_name_the_file_system_cannot_encode_cannot_name_an_output_file",)),
     # only `validate` runs: `run` would start the huge simulation
     Mutant("step_count_unchecked", "src/barriersmc/simkernel.py",
            "self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS", "self.t_end >= self.h",
@@ -152,6 +157,10 @@ MUTANTS = (
            "control, state = c.spec.control, ControllerState()",
            "control, state = c.spec.control, c.state",
            ("tests/test_simkernel.py::test_one_controller_gives_the_same_run_twice",)),
+    # `validate` builds no array, so it must not pay numpy's import time
+    Mutant("numpy_imported_with_the_package", "src/barriersmc/analysis.py",
+           "from barriersmc.controllers import", "import numpy\nfrom barriersmc.controllers import",
+           ("tests/test_cli.py::test_cli_and_config_loading_import_no_numpy",)),
     # --- the config key reader and the trajectory files of `run`
     Mutant("number_accepts_non_finite", "src/barriersmc/experiment.py",
            "    if not math.isfinite(v):\n", "    if False:\n",

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional, Tuple
 
-import numpy as np
-
 from barriersmc.controllers import KInfty, SaturatedKInfty
 from barriersmc.simkernel import SimConfig, Trajectory
 
@@ -45,6 +43,7 @@ class ConvergenceReport:
 
 def convergence_time(traj: Trajectory, sigma: float) -> ConvergenceReport:
     """Detect permanent band membership and escape/return events."""
+    import numpy as np  # here: importing the package does not pay for it
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     abs_s = np.abs(traj.s)
@@ -65,6 +64,7 @@ def convergence_time(traj: Trajectory, sigma: float) -> ConvergenceReport:
 
 def total_variation(traj: Trajectory, window: Tuple[float, float]) -> float:
     """Sum of |delta u_applied| over consecutive samples within the window."""
+    import numpy as np  # here: importing the package does not pay for it
     t0, t1 = window
     t_end = float(traj.t[-1])
     if not (0.0 <= t0 < t1 <= t_end + 1e-12):
@@ -106,6 +106,7 @@ def reach_time_bound(controller, d_bar: float, sim: SimConfig, sigma: float) -> 
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if abs(sim.s0) <= sigma:
         return 0.0
+    import numpy as np  # here: importing the package does not pay for it
     x = np.geomspace(sigma, abs(sim.s0), REACH_INTERVALS + 1)
     cap = min(controller.cap, sim.u_max or math.inf)
     rate = np.array([min(controller.law.gain(v), cap) for v in x[:-1].tolist()]) - d_bar

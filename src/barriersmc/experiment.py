@@ -46,6 +46,11 @@ expect_t_conv_max, expect_sigma_max, expect_gain_max_post,
 expect_final_inside, expect_escapes_all_reenter,
 expect_no_reentry_after_last_escape   optional declared expectations
 
+numpy is imported inside the functions that make or read arrays (the
+trajectory CSV and plot-data code), and `pickle` inside `_fork_map`, so
+that loading and checking a config, as `barriersmc validate` does,
+loads neither.
+
 A simulation that diverges or whose disturbance exceeds d_bar does not
 raise out of `run_experiment` or `sweep`: it becomes the `error` of its
 result row, an `ExperimentResult` or a `SweepRow`.
@@ -104,12 +109,9 @@ from __future__ import annotations
 import locale
 import math
 import os
-import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from barriersmc import analysis
 from barriersmc.controllers import (
@@ -225,6 +227,7 @@ def _fork_map(fn, items, steps: int) -> list:
     ends without a complete result is a RuntimeError. `fn` must not call
     `_fork_map` itself.
     """
+    import pickle  # here: a command that forks nothing does not load it
     items = list(items)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     shares = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(items),
@@ -269,6 +272,7 @@ def _serve_share(fn, share: list, w: int) -> None:
     """In a child of `_fork_map`: pickle ("ok", results) or ("err", exc)
     for one share to the pipe's write end w, then exit the process without
     running atexit handlers or flushing the parent's buffers a second time."""
+    import pickle  # loaded already by `_fork_map`, the caller
     try:
         try:
             out = ("ok", [fn(x) for x in share])
@@ -532,14 +536,19 @@ def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
     clash with `summary.csv` or a `fig_*.csv` that `plot` writes there,
     hold a NUL, which no file name can, hold a comma or a line break,
     which would split its field of `summary.csv` and its column of a
-    figure's header, or exceed the 255 bytes of a file name."""
+    figure's header, exceed the 255 bytes of a file name, or hold a
+    character that the file-system encoding cannot encode, such as a lone
+    surrogate."""
     for name in (s.name for s in specs):
+        try:
+            fits = len(os.fsencode(name + ".csv")) <= 255
+        except UnicodeEncodeError:  # no file name can hold it
+            fits = False
         if (name in (".", "..", "summary") or name.startswith("fig_")
-                or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name)
-                or len(os.fsencode(name + ".csv")) > 255):
+                or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name) or not fits):
             raise ConfigError(f"[{_one_line(name)}] cannot name an output file: no path "
                               "separator, NUL, comma, line break, '.', '..', 'summary', "
-                              "'fig_' prefix or over 251 bytes")
+                              "'fig_' prefix, unencodable character or over 251 bytes")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:
@@ -559,6 +568,7 @@ def _texts(cols: Sequence[np.ndarray]) -> List[Tuple[bytearray, ...]]:
     float64 bytes, and each distinct one is formatted once, _SLAB_CHUNKS
     chunks to a `fieldtext.fields` call: equal chunks share one text."""
     import hashlib  # here: importing the package does not pay for it
+    import numpy as np
     from barriersmc import fieldtext  # here: a process that formats nothing does not load it
     chunks, keys = {}, []  # key -> the values of each distinct chunk; each column's keys
     for col in cols:
@@ -582,8 +592,9 @@ def _texts(cols: Sequence[np.ndarray]) -> List[Tuple[bytearray, ...]]:
 
 def _floats(col) -> np.ndarray:
     """A column given as a float array or as the text of its chunks."""
-    if isinstance(col, np.ndarray):
+    if not isinstance(col, tuple):
         return col
+    import numpy as np
     from barriersmc.fieldtext import WIDTH
     # one value a field: a field of WIDTH bytes holds no padding to split at
     return np.frombuffer(b"".join(col), f"S{WIDTH}").astype(np.float64)
@@ -595,6 +606,7 @@ def _equal(a, b) -> bool:
     the t and d columns that `run_batch` records are finite."""
     if isinstance(a, tuple) and isinstance(b, tuple) and a == b:
         return True
+    import numpy as np
     return np.array_equal(_floats(a), _floats(b))
 
 
@@ -605,6 +617,7 @@ def _csv_bytes(header: Sequence[str], texts: Sequence[Tuple[bytearray, ...]]) ->
     chunk. A row's fields sit in one array with their padding and a
     separator each, and dropping the padding leaves the rows: no Python
     object is made per value."""
+    import numpy as np
     from barriersmc.fieldtext import WIDTH
     yield (",".join(header) + "\n").encode(locale.getpreferredencoding(False))
     for parts in zip(*texts):
@@ -646,6 +659,7 @@ def _first_bad_line(lines: List[str], width: int) -> str:
     """Name the first data line the strict parse rejects, as `line N: ...`
     with N the 1-based file line (the header is line 1). Runs on the error
     path only."""
+    import numpy as np
     for n, line in enumerate(lines[1:], start=2):
         fields = line.split(",") if line else []
         if len(fields) != width:
@@ -662,6 +676,7 @@ def _first_bad_line(lines: List[str], width: int) -> str:
 def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from a CSV in the format
     `write_trajectory_csv` writes; any other file is a ConfigError."""
+    import numpy as np  # here: importing the package does not pay for it
     header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
     try:  # ConfigError and UnicodeDecodeError are ValueErrors: both get the path
         with open(path, newline="") as f:  # a line ends at "\n" alone, or "\r\n"
@@ -858,7 +873,7 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
             traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
         except (SimulationDiverged, DisturbanceBoundError) as exc:
             return SweepRow(rho, lam, bound, math.inf, None, False, error=str(exc))
-        peak_u = float(np.abs(traj.u_applied).max())
+        peak_u = float(abs(traj.u_applied).max())
         # a non-positive target admits no real sliding band at all
         t_conv = (analysis.convergence_time(traj, target_sigma).t_conv
                   if target_sigma > 0 else None)
@@ -940,7 +955,7 @@ def emit_plot_data(traj_files: Sequence, figure: str, out_path) -> None:
     if figure == "escape":
         header.append("d")
         cols.append(first["d"])
-    parsed = iter(_texts([c for c in cols if isinstance(c, np.ndarray)]))
-    texts = [next(parsed) if isinstance(c, np.ndarray) else c for c in cols]
+    parsed = iter(_texts([c for c in cols if not isinstance(c, tuple)]))
+    texts = [c if isinstance(c, tuple) else next(parsed) for c in cols]
     with open(out_path, "wb") as out:
         out.writelines(_csv_bytes(header, texts))

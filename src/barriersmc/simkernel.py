@@ -12,6 +12,11 @@ would raise. `DisturbanceSpec.sample` calls `column` once, and no step
 dispatches over variants. A new signal is a class with both, added to
 `Signal` and to the config schema in `experiment`.
 
+numpy is imported inside the functions that make or read arrays (each
+`column`, `DisturbanceSpec.sample`, `simulate`), not with the module, so
+that a process which only builds and checks descriptors, such as
+`barriersmc validate`, does not pay its ~0.1 s import.
+
 The kernel's contract
 ---------------------
 - Time is a Python float, t_k = k * h, equal to `np.arange(n + 1) * h`
@@ -91,8 +96,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from barriersmc.controllers import Controller, ControllerState
 from barriersmc.gains import BarrierPoleError
 
@@ -124,6 +127,7 @@ def _trig(f, x: np.ndarray) -> np.ndarray:
     """f (`math.sin` or `math.cos`, which numpy's differ from in the last
     bit) of each x as a Python float, up to the first infinite x, on which
     f raises."""
+    import numpy as np  # here: importing the package does not pay for it
     try:
         out = list(map(f, x.tolist()))
     except ValueError:  # math domain error: x holds an infinity
@@ -146,12 +150,13 @@ class Sinusoid:
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.omega * t + self.phase)
 
-    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
     def column(self, t: np.ndarray) -> np.ndarray:
-        x = self.omega * t
-        x += self.phase
-        v = _trig(math.sin, x)
-        return np.multiply(self.amplitude, v, out=v)
+        import numpy as np  # here: importing the package does not pay for it
+        with np.errstate(all="ignore"):  # inf and 0*inf as in the scalar form
+            x = self.omega * t
+            x += self.phase
+            v = _trig(math.sin, x)
+            return np.multiply(self.amplitude, v, out=v)
 
 
 @dataclass(frozen=True)
@@ -163,15 +168,16 @@ class PiecewiseVII:
             return 0.1 * math.sin(3.0 * t)
         return 0.2 * math.cos(5.0 * t)
 
-    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
     def column(self, t: np.ndarray) -> np.ndarray:
-        i = int(t.searchsorted(5.0, side="right"))  # the samples with t <= 5
-        v = _trig(math.sin, 3.0 * t[:i])
-        np.multiply(0.1, v, out=v)
-        if i == len(t):
-            return v
-        after = _trig(math.cos, 5.0 * t[i:])
-        return np.concatenate((v, np.multiply(0.2, after, out=after)))
+        import numpy as np  # here: importing the package does not pay for it
+        with np.errstate(all="ignore"):  # inf and 0*inf as in the scalar form
+            i = int(t.searchsorted(5.0, side="right"))  # the samples with t <= 5
+            v = _trig(math.sin, 3.0 * t[:i])
+            np.multiply(0.1, v, out=v)
+            if i == len(t):
+                return v
+            after = _trig(math.cos, 5.0 * t[i:])
+            return np.concatenate((v, np.multiply(0.2, after, out=after)))
 
 
 @dataclass(frozen=True)
@@ -204,8 +210,8 @@ class CustomTable:
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    @np.errstate(all="ignore")  # inf and 0*inf as in the scalar form
     def column(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np  # here: importing the package does not pay for it
         times, values = np.array(self.times, float), np.array(self.values, float)
         # the samples up to the first one outside the table's domain
         t = t[:0 if t[0] < times[0] else int(t.searchsorted(times[-1], side="right"))]
@@ -214,10 +220,11 @@ class CustomTable:
         t0, v0 = times.take(i), values.take(i)
         i += 1
         t1, v1 = times.take(i), values.take(i)
-        v1 -= v0
-        v1 *= t - t0
-        v1 /= t1 - t0
-        v = np.add(v0, v1, out=v0)
+        with np.errstate(all="ignore"):  # inf and 0*inf as in the scalar form
+            v1 -= v0
+            v1 *= t - t0
+            v1 /= t1 - t0
+            v = np.add(v0, v1, out=v0)
         if len(t) and t[-1] == times[-1]:  # only the last sample can sit on the last node
             v[-1] = values[-1]
         return v
@@ -255,6 +262,7 @@ class DisturbanceSpec:
         samples that step again and raises there, after the checks that
         come first.
         """
+        import numpy as np  # here: importing the package does not pay for it
         return array("d", self.signal.column(np.arange(n + 1) * h).tobytes())
 
 
@@ -320,6 +328,7 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
     a custom table misses a sample time. The module docstring gives the
     order.
     """
+    import numpy as np  # here: importing the package does not pay for it
     n = n_steps(cfg)
     h, u_max = cfg.h, cfg.u_max
     if column is None:

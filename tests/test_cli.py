@@ -153,7 +153,8 @@ def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
         assert captured.out == ""
         assert captured.err == (f"configuration error: [{shown}] cannot name an output file: "
                                 "no path separator, NUL, comma, line break, '.', '..', "
-                                "'summary', 'fig_' prefix or over 251 bytes\n")
+                                "'summary', 'fig_' prefix, unencodable character or "
+                                "over 251 bytes\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
 
 
@@ -433,12 +434,27 @@ def test_cli_and_config_loading_import_no_configparser():
 
 
 def test_cli_and_config_loading_import_no_process_pool():
-    # forked shares need only os and pickle, which numpy loads already; a
-    # pool module would add its import time to every command
+    # forked shares need only os and pickle, which `_fork_map` imports when
+    # it is called; a pool module would add its import time to every command
     code = ("import sys\nfrom barriersmc import cli\n"
             f"for path in ({str(SEC3)!r}, {str(SEC7)!r}):\n"
             "    cli.experiment.load_config(path)\n"
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_cli_and_config_loading_import_no_numpy():
+    # `validate` builds no array: numpy, most of a fresh interpreter's
+    # start-up time, loads only in the functions that make or read arrays
+    code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+            "from barriersmc import cli\n"
+            f"for path in ({str(SEC3)!r}, {str(SEC7)!r}):\n"
+            "    cli.experiment.load_config(path)\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['validate', path]) == cli.EXIT_OK\n"
+            "print(sorted({'numpy', 'pickle'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

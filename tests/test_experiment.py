@@ -310,6 +310,18 @@ def test_a_line_break_cannot_name_an_output_file(name, shown):
     assert str(err.value).startswith(f"[{shown}] cannot name an output file: ")
 
 
+def test_a_name_the_file_system_cannot_encode_cannot_name_an_output_file(tmp_path):
+    # a lone surrogate reaches a name through `loads_config`, and no file name holds it
+    specs = loads_config(dumps_config([quick_spec("a\ud800")]))
+    out = tmp_path / "out"
+    for check in (experiment.check_output_names, lambda s: run_batch(s, out)):
+        with pytest.raises(ConfigError) as err:
+            check(specs)
+        assert str(err.value).startswith("[a\\ud800] cannot name an output file: ")
+        assert len(str(err.value).splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def assert_columns_bitwise_equal(a: Trajectory, b: Trajectory) -> None:
     # tobytes, not array_equal, which takes -0.0 == 0.0
     for c in TRAJECTORY_COLUMNS:
