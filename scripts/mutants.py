@@ -134,6 +134,28 @@ MUTANTS = (
            "            fits = False\n", "            fits = True\n",
            ("tests/test_experiment.py::"
             "test_a_name_the_file_system_cannot_encode_cannot_name_an_output_file",)),
+    # `.csv` is a hidden file, and `dumps_config` would write a `[]` header
+    Mutant("empty_name_accepted", "src/barriersmc/experiment.py",
+           'name in ("", ".", "..", "summary")', 'name in (".", "..", "summary")',
+           ("tests/test_experiment.py::test_the_empty_name_cannot_name_an_output_file",)),
+    # the first sample alone misses a table that ends early and an argument
+    # that overflows later
+    Mutant("disturbance_probed_at_the_first_sample_only", "src/barriersmc/simkernel.py",
+           "for t in (0.0, n * h):", "for t in (0.0,):",
+           ("tests/test_experiment.py::"
+            "test_a_spec_is_rejected_exactly_when_its_disturbance_misses_a_sample",
+            "tests/test_cli.py::test_disturbance_run_cannot_sample_exits_2"
+            "[piecewise_vii_argument_overflow]")),
+    # the probe samples at t = inf, where sin(0 * inf) is nan and raises nothing
+    Mutant("last_sample_time_unchecked", "src/barriersmc/simkernel.py",
+           "if not math.isfinite(n_steps(self) * self.h):", "if False:",
+           ("tests/test_cli.py::test_disturbance_run_cannot_sample_exits_2"
+            "[last_sample_time_overflow]",)),
+    # an overflowing table interpolates to nan: `run` reports a divergence
+    Mutant("table_span_unchecked", "src/barriersmc/simkernel.py",
+           'raise ValueError("table value range times time span must be finite")', "pass",
+           ("tests/test_cli.py::test_disturbance_run_cannot_sample_exits_2"
+            "[table_interpolation_overflow]",)),
     # only `validate` runs: `run` would start the huge simulation
     Mutant("step_count_unchecked", "src/barriersmc/simkernel.py",
            "self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS", "self.t_end >= self.h",
@@ -169,7 +191,8 @@ MUTANTS = (
            "        if raw is None:\n", "        if not raw:\n",
            (f"{MESSAGE}[empty_required]", f"{MESSAGE}[empty_optional]")),
     Mutant("numbers_fast_path_unchecked", "src/barriersmc/experiment.py",
-           "        if all(map(math.isfinite, values)):\n            return values\n",
+           "        if math.isfinite(sum(values)):  # no inf or nan; an overflow reads below\n"
+           "            return values\n",
            "        return values\n", (f"{MESSAGE}[non_finite_list_entry]",)),
     Mutant("stale_trajectory_kept", "src/barriersmc/experiment.py",
            "            path.unlink(missing_ok=True)", "            pass",

@@ -12,13 +12,13 @@ trajectory CSV given to `plot`, a non-finite sweep target or budget, a
 sweep grid axis given twice, an invalid sweep grid point and a step h so
 small that t_end / h exceeds simkernel.MAX_STEPS. For `run` and
 `validate` it covers an experiment name that cannot name its output
-file: one holding a path separator, a NUL, a comma or a line break, `.`,
-`..`, `summary`, a name starting with `fig_`, one whose `<name>.csv`
-exceeds the 255 bytes of a file name or one holding a character that
-the file-system encoding cannot encode. For `plot` it covers a
-trajectory file whose name holds a comma or a line break or does not
-encode in the locale's encoding. Each such message shows the name
-backslash-escaped, on one line. A chattering window that holds fewer
+file: the empty name, one holding a path separator, a NUL, a comma or a
+line break, `.`, `..`, `summary`, a name starting with `fig_`, one whose
+`<name>.csv` exceeds the 255 bytes of a file name or one holding a
+character that the file-system encoding cannot encode. For `plot` it
+covers a trajectory file whose name holds a comma or a line break or
+does not encode in the locale's encoding. Each such message shows the
+name backslash-escaped, on one line. A chattering window that holds fewer
 than two samples leaves the run's total_variation cell empty.
 """
 

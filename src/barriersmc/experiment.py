@@ -32,13 +32,16 @@ controller   kinfty | saturated | obeid | tbg | fixed_sign
 disturbance  piecewise_vii | sin_two | sinusoid | custom
   sin_two:    alias for sinusoid with amplitude 2, omega 1, phase_rad 0;
               `dumps_config` writes it back as that sinusoid
-  sinusoid:   amplitude, omega, phase_rad; omega*t + phase_rad must stay
-              finite up to the last sample time, n_steps * h
-  custom:     table_t, table_d (comma-separated floats); the table must
-              cover every sample time, [0, n_steps * h], and its values
-              must stay within d_bar
+  sinusoid:   amplitude, omega, phase_rad
+  custom:     table_t, table_d (comma-separated floats); the values must
+              stay within d_bar, and their range times the table's time
+              span must be finite
+  every signal must be sampleable at each sample time, 0 to n_steps * h
+  (`DisturbanceSpec.check_samples`): a table must cover them, and the
+  argument of a sin or cos must stay finite
 d_bar        declared disturbance bound (required)
-s0, h, t_end plant initial condition, step, horizon (required)
+s0, h, t_end plant initial condition, step, horizon (required); the last
+             sample time, n_steps * h, must be finite
 u_max        optional actuator limit on |u|
 sigma_target optional band radius for convergence analysis
 chatter_t0, chatter_t1   optional chattering window (both or neither)
@@ -178,6 +181,9 @@ class Expectations:
     no_reentry_after_last_escape: Optional[bool] = None
 
 
+_NO_EXPECTATIONS = Expectations()
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -195,20 +201,9 @@ class ExperimentSpec:
             t0, t1 = self.chatter_window
             if not 0.0 <= t0 < t1 <= self.sim.t_end:
                 raise ValueError("chattering window must satisfy 0 <= t0 < t1 <= t_end")
-        if self.expect != Expectations() and self.sigma_target is None:
+        if self.sigma_target is None and self.expect != _NO_EXPECTATIONS:
             raise ValueError("declared expectations require sigma_target")
-        signal = self.disturbance.signal
-        # the last sample time, computed as simulate computes it
-        t_last = n_steps(self.sim) * self.sim.h
-        if isinstance(signal, CustomTable):
-            if signal.times[0] > 0.0 or signal.times[-1] < t_last:
-                raise ValueError(f"custom table does not cover the samples [0, {t_last!r}]")
-        elif isinstance(signal, Sinusoid):
-            # finite at t_last means finite at every earlier sample; sin(inf)
-            # raises in the middle of a run
-            if not math.isfinite(signal.omega * t_last + signal.phase):
-                raise ValueError(f"sinusoid argument omega*t + phase overflows by "
-                                 f"t = {t_last!r}")
+        self.disturbance.check_samples(self.sim.h, n_steps(self.sim))
 
 
 # --- work split over the CPUs ---------------------------------------------
@@ -303,7 +298,7 @@ def _numbers(raw: str) -> Tuple[float, ...]:
     parts = raw.split(",")
     try:  # float() ignores the blanks around each entry
         values = tuple(map(float, parts))
-        if all(map(math.isfinite, values)):
+        if math.isfinite(sum(values)):  # no inf or nan; an overflow reads below
             return values
     except ValueError:
         pass
@@ -532,9 +527,10 @@ def _one_line(name) -> str:
 
 
 def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
-    """Reject a name whose `<name>.csv` would leave the output directory,
-    clash with `summary.csv` or a `fig_*.csv` that `plot` writes there,
-    hold a NUL, which no file name can, hold a comma or a line break,
+    """Reject a name that is empty (`.csv` is a hidden file, and `[]` no
+    header), whose `<name>.csv` would leave the output directory, clash
+    with `summary.csv` or a `fig_*.csv` that `plot` writes there, hold a
+    NUL, which no file name can, hold a comma or a line break,
     which would split its field of `summary.csv` and its column of a
     figure's header, exceed the 255 bytes of a file name, or hold a
     character that the file-system encoding cannot encode, such as a lone
@@ -544,11 +540,11 @@ def check_output_names(specs: Sequence[ExperimentSpec]) -> None:
             fits = len(os.fsencode(name + ".csv")) <= 255
         except UnicodeEncodeError:  # no file name can hold it
             fits = False
-        if (name in (".", "..", "summary") or name.startswith("fig_")
+        if (name in ("", ".", "..", "summary") or name.startswith("fig_")
                 or set("/\\\0") & set(name) or _FIELD_BREAKS & set(name) or not fits):
             raise ConfigError(f"[{_one_line(name)}] cannot name an output file: no path "
-                              "separator, NUL, comma, line break, '.', '..', 'summary', "
-                              "'fig_' prefix, unencodable character or over 251 bytes")
+                              "separator, NUL, comma, line break, empty, '.', '..', "
+                              "'summary', 'fig_' prefix, unencodable character or over 251 bytes")
 
 
 def dumps_config(specs: Sequence[ExperimentSpec]) -> str:

@@ -36,6 +36,13 @@ The kernel's contract
   passed. The kernel keeps no state between calls. `__call__` stays the
   reference: `simulate` samples a step with it where the column stopped,
   to raise that step's error, and the tests compare `column` with it.
+- A signal that can be sampled at the first and at the last sample time
+  can be sampled at every sample time between them: a table's domain is
+  an interval, and the arguments of the sinusoid's `sin` and of
+  `PiecewiseVII`'s `sin` and `cos` are monotone in t, so finite at both
+  ends means finite between. `DisturbanceSpec.check_samples` rests on
+  this premise: it calls `__call__` at t = 0 and t = n * h only, so a
+  new signal must keep it. `SimConfig` keeps n * h finite.
 - Three loops, one per controller shape. A descriptor with a `law`,
   that is one built on a class-Kinf law (`KInfty`, `SaturatedKInfty`,
   `TbgIntegral`), has its control inlined from the bound `law.gain` and
@@ -123,16 +130,17 @@ class SimulationDiverged(RuntimeError):
         return type(self), (self.args[0], self.t, self.trajectory)
 
 
-def _trig(f, x: np.ndarray) -> np.ndarray:
-    """f (`math.sin` or `math.cos`, which numpy's differ from in the last
-    bit) of each x as a Python float, up to the first infinite x, on which
-    f raises."""
+def _trig(f, x: np.ndarray, scale: float) -> np.ndarray:
+    """scale * f(x) (f is `math.sin` or `math.cos`, which numpy's differ
+    from in the last bit) for each x as a Python float, up to the first
+    infinite x, on which f raises."""
     import numpy as np  # here: importing the package does not pay for it
     try:
         out = list(map(f, x.tolist()))
     except ValueError:  # math domain error: x holds an infinity
         out = list(map(f, x[:int(np.isinf(x).argmax())].tolist()))
-    return np.frombuffer(array("d", out))
+    v = np.frombuffer(array("d", out))
+    return np.multiply(scale, v, out=v)
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,7 @@ class Sinusoid:
         with np.errstate(all="ignore"):  # inf and 0*inf as in the scalar form
             x = self.omega * t
             x += self.phase
-            v = _trig(math.sin, x)
-            return np.multiply(self.amplitude, v, out=v)
+            return _trig(math.sin, x, self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -172,12 +179,10 @@ class PiecewiseVII:
         import numpy as np  # here: importing the package does not pay for it
         with np.errstate(all="ignore"):  # inf and 0*inf as in the scalar form
             i = int(t.searchsorted(5.0, side="right"))  # the samples with t <= 5
-            v = _trig(math.sin, 3.0 * t[:i])
-            np.multiply(0.1, v, out=v)
+            v = _trig(math.sin, 3.0 * t[:i], 0.1)
             if i == len(t):
                 return v
-            after = _trig(math.cos, 5.0 * t[i:])
-            return np.concatenate((v, np.multiply(0.2, after, out=after)))
+            return np.concatenate((v, _trig(math.cos, 5.0 * t[i:], 0.2)))
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,12 @@ class CustomTable:
             raise ValueError("table times and values must be finite")
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("table times must be strictly increasing")
+        # bounds every interval's (v1 - v0) * (t - t0), so no NaN in the
+        # domain. Conservative: it also rejects a table whose intervals each
+        # stay finite, such as times (0, 1e308, 1.5e308) with values
+        # (0, 0, 2); a per-interval check would cost every table a loop
+        if not math.isfinite((max(self.values) - min(self.values)) * (times[-1] - times[0])):
+            raise ValueError("table value range times time span must be finite")
 
     def __call__(self, t: float) -> float:
         if t < self.times[0] or t > self.times[-1]:
@@ -265,6 +276,16 @@ class DisturbanceSpec:
         import numpy as np  # here: importing the package does not pay for it
         return array("d", self.signal.column(np.arange(n + 1) * h).tobytes())
 
+    def check_samples(self, h: float, n: int) -> None:
+        """Raise ValueError unless the signal can be sampled at k*h for
+        k = 0..n, naming the time and carrying the signal's message. By
+        the kernel's contract samples 0 and n decide it."""
+        for t in (0.0, n * h):
+            try:
+                self.signal(t)
+            except ValueError as exc:
+                raise ValueError(f"disturbance cannot be sampled at t = {t!r}: {exc}") from None
+
 
 # The most Euler steps a run may take: 1e8 steps hold ~3.2 GB of records
 # and write ~12 GB of trajectory CSV. A longer run is a configuration error,
@@ -286,6 +307,9 @@ class SimConfig:
             raise ValueError(f"h must be positive, got {self.h!r}")
         if not (self.t_end >= self.h and self.t_end / self.h <= MAX_STEPS):
             raise ValueError(f"t_end must be >= h and <= {MAX_STEPS:.0e} * h, got {self.t_end!r}")
+        # n_steps rounds up by 1e-9: t_end near the largest float can overflow
+        if not math.isfinite(n_steps(self) * self.h):
+            raise ValueError(f"last sample time n_steps * h overflows, got t_end = {self.t_end!r}")
         if self.u_max is not None and not (math.isfinite(self.u_max) and self.u_max > 0):
             raise ValueError(f"u_max must be positive when present, got {self.u_max!r}")
 

@@ -152,7 +152,7 @@ def test_name_that_cannot_name_an_output_file_exits_2(tmp_path, capsys, name):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"configuration error: [{shown}] cannot name an output file: "
-                                "no path separator, NUL, comma, line break, '.', '..', "
+                                "no path separator, NUL, comma, line break, empty, '.', '..', "
                                 "'summary', 'fig_' prefix, unencodable character or "
                                 "over 251 bytes\n")
     assert not (tmp_path / "run").exists()  # nothing written, in --out or beside it
@@ -383,8 +383,37 @@ def test_sinusoid_argument_overflow_exits_2(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == cli.EXIT_CONFIG
     assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("configuration error: [still] ")
-                                 and "sinusoid" in line for line in err)
+    assert err == ["configuration error: [still] invalid ExperimentSpec: disturbance cannot "
+                   "be sampled at t = 3.0: math domain error"] * 2
+
+
+@pytest.mark.parametrize("disturbance, plant, message", [
+    # 5 * t overflows to inf past t = 3.6e307, and cos(inf) raises
+    ("disturbance = piecewise_vii\nd_bar = 1.0\n", "h = 1e307\nt_end = 1e308",
+     "invalid ExperimentSpec: disturbance cannot be sampled at t = 1e+308: "
+     "math domain error"),
+    # the time span overflows to inf: interpolation would give 2 * inf / inf = nan
+    ("disturbance = custom\ntable_t = -1e308, 1e308\ntable_d = -1.0, 1.0\nd_bar = 1.0\n",
+     "h = 0.001\nt_end = 0.01",
+     "invalid CustomTable: table value range times time span must be finite"),
+    # t_end / h reads 3.0, and 3 * h overflows: the last sample time is inf
+    ("disturbance = sinusoid\namplitude = 0.0\nomega = 0.0\nphase_rad = 0.0\n"
+     "d_bar = 1e-9\n",
+     "h = 5.992310450140284e307\nt_end = 1.7976931348623157e308",
+     "invalid SimConfig: last sample time n_steps * h overflows, "
+     "got t_end = 1.7976931348623157e+308"),
+], ids=["piecewise_vii_argument_overflow", "table_interpolation_overflow",
+        "last_sample_time_overflow"])
+def test_disturbance_run_cannot_sample_exits_2(tmp_path, capsys, disturbance, plant, message):
+    text = QUICK.replace("disturbance = sinusoid\namplitude = 0.0\nomega = 1.0\n"
+                         "phase_rad = 0.0\nd_bar = 1e-9\n", disturbance)
+    p = write(tmp_path, text.replace("h = 0.001\nt_end = 0.1", plant))
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: [still] {message}\n"
+    assert not (tmp_path / "out").exists()  # run wrote nothing
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

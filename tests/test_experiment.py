@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from barriersmc import analysis, cli, controllers, experiment, fieldtext, gains, simkernel
@@ -218,6 +218,12 @@ class TestConfigRoundTrip:
         p.write_text(dumps_config(ALL_VARIANT_SPECS))
         assert load_config(p) == ALL_VARIANT_SPECS
 
+    def test_table_entries_whose_sum_overflows_round_trip(self):
+        # each time is finite, but their sum is not: the reader's slow path reads them
+        table = CustomTable((0.0, 1e308, 1.7e308), (0.0, 0.0, 0.0))
+        specs = [quick_spec(disturbance=DisturbanceSpec(table, 1.0))]
+        assert loads_config(dumps_config(specs)) == specs
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError):
             dumps_config([quick_spec("same"), quick_spec("same")])
@@ -310,16 +316,58 @@ def test_a_line_break_cannot_name_an_output_file(name, shown):
     assert str(err.value).startswith(f"[{shown}] cannot name an output file: ")
 
 
-def test_a_name_the_file_system_cannot_encode_cannot_name_an_output_file(tmp_path):
-    # a lone surrogate reaches a name through `loads_config`, and no file name holds it
-    specs = loads_config(dumps_config([quick_spec("a\ud800")]))
+def assert_cannot_name_an_output_file(specs, shown, tmp_path):
+    """`check_output_names` and `run_batch` reject the name, shown as
+    `shown`, in a one-line ConfigError, and nothing is written."""
     out = tmp_path / "out"
     for check in (experiment.check_output_names, lambda s: run_batch(s, out)):
         with pytest.raises(ConfigError) as err:
             check(specs)
-        assert str(err.value).startswith("[a\\ud800] cannot name an output file: ")
+        assert str(err.value).startswith(f"[{shown}] cannot name an output file: ")
         assert len(str(err.value).splitlines()) == 1
     assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+def test_a_name_the_file_system_cannot_encode_cannot_name_an_output_file(tmp_path):
+    # a lone surrogate reaches a name through `loads_config`, and no file name holds it
+    specs = loads_config(dumps_config([quick_spec("a\ud800")]))
+    assert_cannot_name_an_output_file(specs, "a\\ud800", tmp_path)
+
+
+def test_the_empty_name_cannot_name_an_output_file(tmp_path):
+    # only a library caller reaches it: the config reader rejects the header []
+    assert_cannot_name_an_output_file([quick_spec("")], "", tmp_path)
+
+
+def _table(start, span, values):
+    return CustomTable(tuple(start + span * (i / (len(values) - 1)) for i in range(len(values))),
+                       tuple(values))
+
+
+@settings(deadline=None, max_examples=300)
+@given(signal=st.one_of(
+           st.builds(Sinusoid, st.floats(-2.0, 2.0),
+                     st.floats(-1e308, 1e308) | st.sampled_from([1e300, -1e307, 1e308]),
+                     st.floats(-4.0, 4.0) | st.floats(-1e308, 1e308)),
+           st.just(PiecewiseVII()),
+           # tables that may start after t = 0 or end before the last sample
+           st.builds(_table, st.sampled_from([0.0, 1e-3, 0.3]), st.floats(0.01, 8e307),
+                     st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4))),
+       h=st.sampled_from([1e-3, 0.1, 0.5, 1e306, 1e307, 3e307]), steps=st.integers(1, 20))
+# 5 * t overflows past t = 3.6e307: the column holds 4 of the 11 samples
+@example(signal=PiecewiseVII(), h=1e307, steps=10)
+def test_a_spec_is_rejected_exactly_when_its_disturbance_misses_a_sample(signal, h, steps):
+    assume(math.isfinite(steps * h))
+    sim = SimConfig(1.0, h, steps * h)
+    d = DisturbanceSpec(signal, 2.0)
+    n = n_steps(sim)
+    try:
+        quick_spec(disturbance=d, sim=sim)
+    except ValueError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == (len(d.sample(h, n)) < n + 1)
 
 
 def assert_columns_bitwise_equal(a: Trajectory, b: Trajectory) -> None:
