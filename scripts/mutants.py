@@ -96,13 +96,41 @@ MUTANTS = (
     Mutant("tbg_frozen_feedforward_as_positive_zero", "src/barriersmc/controllers.py",
            "                break\n", "                w[-1] = 0.0 * zk\n                break\n",
            (f"{EDGE}[tbg_rests_on_the_surface]",)),
+    # the relay loop yields u alone: its odd slots are u, not gains
     Mutant("relay_gain_column_from_unwritten_records", "src/barriersmc/simkernel.py",
-           "np.abs(u) if relay else np.frombuffer(records[2], count=k)",
-           "np.frombuffer(records[2], count=k)", (ORACLE,)),
+           "u, g = (ug, np.abs(ug)) if relay", "u, g = (ug, ug[1::2]) if relay", (ORACLE,)),
     Mutant("no_divergence_scan_on_an_exception", "src/barriersmc/simkernel.py",
-           "        err = diverged(k, s)\n", "        err = None\n",
+           "    if not (math.isfinite(s[k])", "    if not raised and not (math.isfinite(s[k])",
            (f"{EDGE}[pole_after_state_overflow]",
             "tests/test_simkernel.py::test_a_later_pole_does_not_hide_the_state_divergence")),
+    # the loop's state adds the applied u: the commanded one leaves clamped runs
+    Mutant("states_rebuilt_from_the_commanded_u", "src/barriersmc/simkernel.py",
+           "np.add(ua, drec, out=inc)", "np.add(u, drec, out=inc)",
+           (ORACLE, f"{EDGE}[clamped]", f"{EDGE}[clamped_s0_-0]")),
+    Mutant("states_summed_from_zero", "src/barriersmc/simkernel.py",
+           "s[0], inc = cfg.s0, s[1:]", "s[0], inc = 0.0, s[1:]",
+           (f"{EDGE}[clamped_s0_-0]", f"{EDGE}[kinfty_convex_s0_-0]", ORACLE)),
+    # the law of a negative s: K is only defined on |s|
+    Mutant("relay_gain_of_a_negative_s", "src/barriersmc/simkernel.py",
+           "else gain(-s) if s < 0.0", "else gain(s) if s < 0.0",
+           (ORACLE, f"{PINS}[kinfty-concave-piecewise_vii]", f"{PINS}[kinfty-convex-sinusoid]")),
+    # the clamp turns an infinite control finite: a finite last state misses it
+    Mutant("clamped_controls_unscanned", "src/barriersmc/simkernel.py",
+           "math.isfinite(s[k]) and (u_max is None or np.isfinite(u).all())",
+           "math.isfinite(s[k])", (f"{EDGE}[clamped_infinite_gain]",)),
+    # an overflowing or inf - inf state is inf or nan, as in the loop, and no warning
+    Mutant("states_rebuilt_outside_errstate", "src/barriersmc/simkernel.py",
+           '    with np.errstate(over="ignore", invalid="ignore"):', "    if True:",
+           (f"{EDGE}[relay_diverges_with_infinite_gain]",
+            "tests/test_simkernel.py::test_a_later_pole_does_not_hide_the_state_divergence")),
+    # a reference control may raise, so its loop's length is not known beforehand
+    Mutant("reference_loop_given_a_count", "src/barriersmc/simkernel.py",
+           "-1 if law is None else m if relay", "2 * m if law is None else m if relay",
+           (f"{EDGE}[pole]", f"{EDGE}[reference_pole_after_steps]")),
+    # the relay and TBG loops catch nothing: past the overflow, atan(1/y) is 0.0
+    Mutant("convex_gain_divides_by_zero_past_overflow", "src/barriersmc/gains.py",
+           "        if y == inf:  # abs_s/lambda2 overflowed: K is unbounded\n            return inf\n",
+           "", ("tests/test_gains.py::test_kinf_gain_raises_on_no_magnitude",)),
     # equivalent: e = s - z is never -0.0 (z = s0 at step 0 gives e = +0.0),
     # and K(0) = +0.0, so copysign(g, e) and the signed product agree
     Mutant("tbg_sign_as_copysign", "src/barriersmc/simkernel.py",
@@ -258,6 +286,10 @@ MUTANTS = (
            "min(controller.cap, sim.u_max or math.inf)", "controller.cap",
            (f"{REACH}::test_inf_where_the_applied_gain_cannot_beat_the_disturbance",)),
     # --- no gain overestimation once settled in the band
+    # the classical law integrates |s|: a signed s lets its gain fall back
+    Mutant("classical_gain_integrates_signed_s", "src/barriersmc/controllers.py",
+           "st.k_a += h * p.k_bar * abs(s)", "st.k_a += h * p.k_bar * s",
+           ("tests/test_acceptance.py::test_criterion_12_classical_law_overestimates",)),
     Mutant("settled_peak_gain_reads_the_whole_record", "src/barriersmc/analysis.py",
            "mask = traj.t >= t_conv + SETTLE_PAD", "mask = traj.t >= traj.t[0]",
            ("tests/test_acceptance.py::test_criterion_6_no_overestimation",)),

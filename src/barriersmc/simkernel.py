@@ -51,18 +51,20 @@ The kernel's contract
   else in the TBG loop. Every other descriptor (`ObeidTwoPhase`,
   `FixedSign`) runs in the reference loop, which calls its
   `control(state, t, s, h)` once per step on a fresh `ControllerState`
-  and stores s, u and the gain. No loop reads or writes
+  and records u and the gain. No loop reads or writes
   `Controller.state`, so one `Controller` gives the same run every
   time. The relay and TBG loops give the bytes
   that the reference loop gives, with zero tolerance; the
   reference-oracle test and the variant pins hold them to that.
-- The relay loop (u = -g*sign(s), g = min(K(|s|), cap)) stores only s
-  and u per step; its gain column is |u|. That is exact: both laws give
+- The relay loop (u = -g*sign(s), g = min(K(|s|), cap)) records only u
+  per step; its gain column is |u|. That is exact: both laws give
   g >= +0.0 with K(0) = +0.0, so |u| = g whether sign(s) is +-1 or a
   signed zero, and a step whose g is not finite has a non-finite u, so
-  it is never recorded.
+  it is never recorded. Its sign test already knows |s|: it calls the
+  law on s for s > 0 and on -s for s < 0, and on abs(s) only for a
+  signed zero or a NaN.
 - The TBG loop is the same relay acting on e = s - z, shifted by a
-  feedforward w: u = w - g*sign(e), storing s, u and g. Its cap is inf,
+  feedforward w: u = w - g*sign(e), recording u and g. Its cap is inf,
   so the loop applies none: the cap differs from K(|e|) only on a NaN,
   which comes with a NaN e and so a NaN u, never recorded. Neither z nor w
   depends on the plant, so both are columns, z_k and w_k for k = 0..n,
@@ -73,25 +75,36 @@ The kernel's contract
   0.0 and both columns freeze. A caller may build them once and pass
   them in, as a sweep does for the grid points of one base: then `tbg`
   must equal `c.spec.tbg_columns(cfg.s0, cfg.h, n_steps(cfg))`.
+- The three loops are one generator, which yields each step's u (and,
+  outside the relay loop, then its gain) into `np.fromiter`; the
+  trajectory's u and gain are that array, or its even and odd items. A
+  class-Kinf law's gain raises on no magnitude, so the relay and TBG loops
+  run every clean step and `fromiter` is given their count. A reference
+  control that raises ends its loop at the step it was on, so the record
+  holds the steps before. No loop stores its state: after the loop, one
+  `np.add.accumulate` over [s_0, h*(ua_0 + d_0), h*(ua_1 + d_1), ...]
+  rebuilds s_0..s_k from the applied u, which is the loop's own
+  `s + h*(ua + d)` in the same order, bit for bit: numpy's elementwise
+  + and * round as Python's floats do, and `accumulate` adds in
+  sequence (where `np.sum` pairs). `u_applied` is `u_commanded` clipped
+  to +-u_max, which equals the loops' clamp on every finite control;
+  their chained comparisons cost a tenth of `min(u_max, max(-u_max, u))`
+  and, as it does, send a NaN to -u_max, where the clip keeps the NaN.
+  The rebuilt states therefore agree with the loop's up to the first
+  non-finite control, and no record reaches past that. The rebuild runs
+  under `np.errstate`, so an overflowing state is inf, as in the loop,
+  with no warning.
 - Each step raises its errors in this order: a non-finite state
   (SimulationDiverged), then a sample outside a custom table
   (ExtrapolationError) or over d_bar (DisturbanceBoundError), then a
   controller pole or a non-finite control (SimulationDiverged). So a
   table that ends early raises at its first uncovered sample, unless
   the state blew up first. The steps themselves check no finiteness: one
-  scan after the loop, or when an exception leaves it, finds the first
-  non-finite state or control, so a diverged run computes to its horizon
+  scan of the rebuilt states and the controls, after the loop, finds
+  the first non-finite one, so a diverged run computes to its horizon
   and a later exception (a pole, say) never hides an earlier divergence.
-- The records are `array('d')` columns of the clean steps' length, filled
-  by item stores through a `memoryview` of each (cheaper per store than
-  the array's own) and wrapped by `np.frombuffer`; the returned
-  trajectory owns them, and its `d` is a copy of the column, which may be
-  shared. `u_applied` is `u_commanded` clipped to +-u_max, which is the
-  loops' clamp on every finite control. Their chained comparisons cost
-  a tenth of `min(u_max, max(-u_max, u))` and, as it does, send a NaN to
-  -u_max. The loops read h, u_max and the record columns as plain
-  locals: only the `record` and `diverged` helpers close over the record
-  columns, through one list.
+- The returned trajectory owns its columns; its `d` is a copy of the
+  disturbance column, which may be shared.
 """
 
 from __future__ import annotations
@@ -357,71 +370,80 @@ def simulate(c: Controller, d: DisturbanceSpec, cfg: SimConfig,
     h, u_max = cfg.h, cfg.u_max
     if column is None:
         column = d.sample(h, n)
-    over = np.abs(np.frombuffer(column)) > d.d_bar * (1.0 + 1e-12)
+    dcol = np.frombuffer(column)
+    over = np.abs(dcol) > d.d_bar * (1.0 + 1e-12)
     m = int(over.argmax()) if over.any() else len(column)  # the steps that sample d cleanly
-    # the loops read plain locals, and store through memoryviews: their item
-    # stores are cheaper than array's. Only the helpers below see `records`.
-    records = s_rec, u_cmd, g_rec = [memoryview(array("d", [0.0]) * m) for _ in range(3)]
-
-    def record(k: int) -> Trajectory:
-        s, u = np.frombuffer(records[0], count=k), np.frombuffer(records[1], count=k)
-        lim = cfg.u_max  # the loop's clamp, on the finite u that a record holds
-        return Trajectory(np.arange(k) * cfg.h, s, u,
-                          u.copy() if lim is None else np.minimum(np.maximum(u, -lim), lim),
-                          np.abs(u) if relay else np.frombuffer(records[2], count=k),
-                          np.frombuffer(column, count=k).copy())
-
-    def diverged(k: int, s: float) -> Optional[SimulationDiverged]:
-        """The divergence at the first non-finite state or control of steps
-        0..k-1, else at step k if its state s is non-finite, else None."""
-        ok = np.isfinite(np.frombuffer(records[0], count=k))
-        ok &= np.isfinite(np.frombuffer(records[1], count=k))
-        j = k if ok.all() else int(ok.argmin())
-        if j == k and math.isfinite(s):
-            return None
-        what = "state" if j == k or not math.isfinite(records[0][j]) else "control"
-        return SimulationDiverged(f"{what} non-finite at t = {j * cfg.h:g}", j * cfg.h, record(j))
-
     law = getattr(c.spec, "law", None)  # a class-Kinf relay, as `sweep` tells one
     gain, cap = (None, None) if law is None else (law.gain, c.spec.cap)
     tbg = c.spec.tbg_columns(cfg.s0, h, n) if law is not None and tbg is None else tbg
     relay = law is not None and tbg is None
-    s, k = cfg.s0, 0
-    try:
+    raised = []  # the exception that ended the reference loop early, if one did
+
+    def steps():
+        """u at each clean step, followed by its gain outside the relay
+        loop, up to the step whose control raises."""
+        s, clean = cfg.s0, memoryview(column)[:m]
         if law is None:  # the reference path: the descriptor's own control
             control, state = c.spec.control, ControllerState()
-            for k, dk in zip(range(m), column):
-                u = control(state, k * h, s, h)
-                ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
-                s_rec[k], u_cmd[k], g_rec[k] = s, u, state.gain
-                s = s + h * (ua + dk)  # past the last sample the new state is unused
+            try:
+                for k, dk in enumerate(clean):
+                    u = control(state, k * h, s, h)
+                    yield u
+                    yield state.gain
+                    ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
+                    s = s + h * (ua + dk)  # past the last sample the new state is unused
+            except Exception as exc:  # checked after the divergence scan below
+                raised.append(exc)
         elif relay:  # -g*sign(s), its sign(0) = 0 kept as a signed product
-            for k, dk in zip(range(m), column):
-                g = gain(abs(s))
+            for dk in clean:
+                g = gain(s) if s > 0.0 else gain(-s) if s < 0.0 else gain(abs(s))
                 g = g if g < cap else cap
                 u = -g if s > 0.0 else g if s < 0.0 else -g * 0.0
-                s_rec[k], u_cmd[k] = s, u  # the gain is |u|, taken by record
+                yield u  # the gain is |u|
                 ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
                 s = s + h * (ua + dk)
         else:  # TBG: the relay on e = s - z, shifted by the feedforward w
-            for k, dk, z, w in zip(range(m), column, *tbg):
+            for dk, z, w in zip(clean, *tbg):
                 e = s - z
-                g = gain(abs(e))  # uncapped: a TBG's cap is inf
-                u = w - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)
-                s_rec[k], u_cmd[k], g_rec[k] = s, u, g
+                g = gain(e) if e > 0.0 else gain(-e) if e < 0.0 else gain(abs(e))
+                u = w - (g if e > 0.0 else -g if e < 0.0 else g * 0.0)  # uncapped: cap is inf
+                yield u
+                yield g
                 ua = u if u_max is None or -u_max <= u <= u_max else u_max if u > 0.0 else -u_max
                 s = s + h * (ua + dk)
-    except Exception as exc:  # a divergence up to step k's state comes first
-        err = diverged(k, s)
-        if err is not None:
-            raise err from None
-        if not isinstance(exc, BarrierPoleError):
-            raise
-        raise SimulationDiverged(f"controller pole at t = {k * h:g}: {exc}", k * h,
-                                 record(k)) from exc
-    err = diverged(m, s if m <= n else 0.0)
-    if err is not None:
-        raise err
+
+    # a class-Kinf law's gain raises on no magnitude, so only the reference loop can end early
+    ug = np.fromiter(steps(), float, -1 if law is None else m if relay else 2 * m)
+    u, g = (ug, np.abs(ug)) if relay else (ug[0::2], ug[1::2])
+    k = len(u)  # the steps taken: m, unless step k's control raised
+    drec = dcol[:k]
+    ua = u.copy() if u_max is None else np.minimum(np.maximum(u, -u_max), u_max)
+    s = np.empty(k + 1)  # s_0..s_k, summed as the loop sums them
+    s[0], inc = cfg.s0, s[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python's floats
+        np.add(ua, drec, out=inc)
+        inc *= h
+        np.add.accumulate(s, out=s)
+
+    def record(j: int) -> Trajectory:
+        return Trajectory(np.arange(j) * h, s[:j], u[:j], ua[:j], g[:j], drec[:j].copy())
+
+    # a divergence up to step k's state comes first: the first non-finite
+    # state or control of steps 0..k-1, else step k's state, if k is a step.
+    # A non-finite state stays non-finite, and so does the state after an
+    # unclamped non-finite u: a finite s_k alone rules both out
+    if not (math.isfinite(s[k]) and (u_max is None or np.isfinite(u).all())):
+        ok = np.isfinite(s[:k])
+        ok &= np.isfinite(u)
+        j = k if ok.all() else int(ok.argmin())
+        if j < k or (k <= n and not math.isfinite(s[k])):
+            what = "state" if not math.isfinite(s[j]) else "control"
+            raise SimulationDiverged(f"{what} non-finite at t = {j * h:g}", j * h, record(j))
+    if raised:
+        if not isinstance(raised[0], BarrierPoleError):
+            raise raised[0]
+        raise SimulationDiverged(f"controller pole at t = {k * h:g}: {raised[0]}", k * h,
+                                 record(k)) from raised[0]
     if m <= n:  # step m is outside a custom table, or its |d| exceeds d_bar
         tk = m * h
         dk = d.signal(tk)  # raises where the column stopped

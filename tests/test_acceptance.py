@@ -1,9 +1,11 @@
 """Acceptance gate: every criterion prints one PASS/FAIL line.
 
 Criteria 1-9 replay the two bundled experiment campaigns; criterion 10 is
-a set of randomized property suites at 1000 cases each.
+a set of randomized property suites at 1000 cases each; criterion 12 runs
+the classical adaptive law on criterion 7's plant for contrast.
 """
 
+import dataclasses
 import math
 from itertools import accumulate
 from pathlib import Path
@@ -161,8 +163,11 @@ def test_criterion_7_chattering_mitigated(sec7, relay_baseline):
     window = (8.0, 10.0)
     tv_cv = analysis.total_variation(sec7["cv"].trajectory, window)
     tv_relay = analysis.total_variation(relay_baseline, window)
+    # u tracks -d: the disturbance's own variation over the window, for scale
+    traj = sec7["cv"].trajectory
+    tv_d = analysis.total_variation(dataclasses.replace(traj, u_applied=traj.d), window)
     ok = tv_cv < 0.05 * tv_relay
-    verdict(7, ok, f"TV barrier={tv_cv:.3f}, TV relay={tv_relay:.1f}")
+    verdict(7, ok, f"TV barrier={tv_cv:.3f}, TV relay={tv_relay:.1f}, TV(d)={tv_d:.3f}")
 
 
 def test_criterion_8_saturated_time_bound(sec7):
@@ -192,6 +197,26 @@ def test_criterion_9_tbg_auxiliary_fidelity():
     ok = abs(z_at_tf - landing) <= 1e-3 and max_err <= 10 * h
     verdict(9, ok, f"|z(tf) - target| = {abs(z_at_tf - landing):.2e}, "
                    f"max closed-form error = {max_err:.2e}")
+
+
+def test_criterion_12_classical_law_overestimates(sec7):
+    # the classical adaptive law k_a' = k_bar*|s| is ObeidTwoPhase's reaching
+    # phase; an epsilon below every sampled |s| keeps it there for the whole run
+    spec = sec7["cv"].spec
+    classical = PsbParams(1e-9, 2.0)
+    traj = simulate(Controller(ObeidTwoPhase(classical)), spec.disturbance, spec.sim)
+    closest = float(np.abs(traj.s).min())
+    assert closest > 0.5 * classical.epsilon, closest  # it never switched to its barrier
+    # k_a' = k_bar*|s| >= 0: the gain never comes down, so it overshoots d_bar
+    ratchets = bool(np.all(np.diff(traj.gain) >= 0.0))
+    peak = float(traj.gain[traj.t >= 8.0].max())
+    settled = {name: res.gain_max_post for name, res in sec7.items()}
+    ok = (ratchets and peak > D_BAR
+          and all(g is not None and g <= D_BAR + 0.05 for g in settled.values()))
+    verdict(12, ok, f"classical gain never falls: {ratchets}, "
+                    f"peak over t >= 8 = {peak:.4f} ({peak / D_BAR:.2f} d_bar); "
+                    + "; ".join(f"{name}: {'none' if g is None else f'{g / D_BAR:.3f}'} d_bar"
+                                for name, g in settled.items()))
 
 
 # --- criterion 10: property suites, 1000 randomized cases each -------------

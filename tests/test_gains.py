@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from barriersmc.gains import (
     BarrierPoleError,
@@ -192,3 +192,14 @@ def test_second_difference_signs_on_grid():
 @pytest.mark.parametrize("law", [CC, CV])
 def test_radially_unbounded(law):
     assert eval_gain(law, 1e6) > eval_gain(law, 1e3)
+
+
+# simulate's relay and TBG loops catch nothing: they call a class-Kinf gain
+# on |s| (a NaN included) and count on a float back, whatever the parameters
+@given(st.sampled_from([ConcaveParams, ConvexParams]),
+       st.floats(min_value=5e-324, allow_infinity=False),
+       st.floats(min_value=5e-324, allow_infinity=False),
+       st.floats(min_value=0.0, allow_infinity=True) | st.just(math.nan))
+@example(ConvexParams, 1.0, 1.0, math.inf)
+def test_kinf_gain_raises_on_no_magnitude(law, rho, lam, abs_s):
+    assert isinstance(law(rho, lam).gain(abs_s), float)

@@ -417,6 +417,19 @@ class PoleAfterOverflow(FixedSign):
         return s / h
 
 
+class PoleAtHalfASecond(ObeidTwoPhase):
+    """The two-phase relay, with a pole from t = 0.5 on: a reference-loop
+    run that records several steps before its control raises."""
+
+    def control(self, st, t, s, h):
+        if t >= 0.5:
+            raise BarrierPoleError("pole from t = 0.5 on")
+        return super().control(st, t, s, h)
+
+
+ONE = DisturbanceSpec(Sinusoid(1.0, 0.0, 0.5 * math.pi), 1.0)  # d = sin(pi/2) = 1.0
+
+
 @pytest.mark.parametrize("spec, d, cfg, error", [
     (FixedSign(0.0), DisturbanceSpec(CustomTable((0.0, 0.5), (0.1, 0.1)), 0.1),
      SimConfig(1.0, 0.1, 1.0), ExtrapolationError),
@@ -450,13 +463,22 @@ class PoleAfterOverflow(FixedSign):
     (SaturatedKInfty(CV, 5.0), VII, SimConfig(1.0, 0.1, 3.0, u_max=1.5), None),
     # g = inf at t = 0.3 gives u = -inf, then s = nan: the |u| gain column stops before it
     (DIVERGING, QUIET, SimConfig(1.0, 0.1, 2.0), SimulationDiverged),
+    # the rebuilt states start at s0 = -0.0 and add the clamped u
+    (KInfty(CV), VII, SimConfig(-0.0, 0.1, 1.0, u_max=0.5), None),
+    # u = s/h, clamped to 5e307 from t = 1023 on, takes s past the largest float at t = 1025
+    (PoleAfterOverflow(0.0), QUIET, SimConfig(1.0, 1.0, 2000.0, u_max=5e307), SimulationDiverged),
+    (PoleAtHalfASecond(PsbParams(0.1, 1.0)), VII, SimConfig(1.0, 0.1, 1.0), SimulationDiverged),
+    # d = 1 outruns u_max = 0.5: |s| grows until K(|s|) = inf at t = 22.2; the clamp keeps s finite
+    (KInfty(ConvexParams(1e307, 1.0)), ONE, SimConfig(1.0, 0.1, 60.0, u_max=0.5),
+     SimulationDiverged),
 ], ids=["table_ends_early", "diverges_before_table_ends", "bound_violation",
         "diverges_before_bound_violation", "pole", "state_overflows_where_table_ends",
         "clamped", *(f"{name}_s0_{sign}0" for name in FUSED for sign in "+-"),
         "saturated_gain_on_k_max", "tbg_clamped", "saturated_clamped", "tbg_z_overflows",
         "pole_after_state_overflow", "tbg_ends_before_t_f", "tbg_ends_at_t_f",
         "tbg_ends_after_t_f", "tbg_t_f_below_h_s0_-0", "tbg_rests_on_the_surface",
-        "saturated_clamped_coarse", "relay_diverges_with_infinite_gain"])
+        "saturated_clamped_coarse", "relay_diverges_with_infinite_gain", "clamped_s0_-0",
+        "clamped_state_overflows", "reference_pole_after_steps", "clamped_infinite_gain"])
 def test_simulate_matches_reference_on_edge_cases(spec, d, cfg, error):
     got = assert_matches_reference(spec, d, cfg)
     assert (got[0] if error else None) is error
