@@ -195,13 +195,23 @@ MUTANTS = (
            "    except ZeroDivisionError:  # fewer than two samples",
            tuple(f"tests/test_cli.py::test_chattering_window_run_cannot_fill[{case}]"
                  for case in ("default_window_one_sample", "window_between_samples"))),
-    # a failed simulation leaves `sweep` as a row: `cli.main` catches no simulation error
+    # a failed simulation leaves `sweep` as a row, through `run_experiment`:
+    # `cli.main` catches no simulation error
     Mutant("sweep_bound_failure_raises", "src/barriersmc/experiment.py",
-           "        except (SimulationDiverged, DisturbanceBoundError) as exc:\n"
-           "            return SweepRow(",
-           "        except SimulationDiverged as exc:\n            return SweepRow(",
+           "    except (SimulationDiverged, DisturbanceBoundError) as exc:\n",
+           "    except SimulationDiverged as exc:\n",
            ("tests/test_experiment.py::TestSweep::test_a_disturbance_over_d_bar_is_a_row[1]",
             "tests/test_cli.py::test_sweep_disturbance_over_d_bar_exits_3")),
+    # a sweep point is scored without the base's expectations, which a
+    # non-positive target (no sigma_target) could not carry
+    Mutant("sweep_keeps_base_expectations", "src/barriersmc/experiment.py",
+           "replace(base, expect=_NO_EXPECTATIONS,\n", "replace(base,\n",
+           ("tests/test_experiment.py::TestSweep::test_zero_target_infeasible",)),
+    # the disturbance is sampled once per base, not once per grid point
+    Mutant("sweep_samples_per_point", "src/barriersmc/experiment.py",
+           "                                column, tbg)",
+           "                                None, tbg)",
+           ("tests/test_experiment.py::TestSweep::test_tbg_columns_are_built_once_per_base",)),
     # each simulate call starts the reference loop's controller from scratch
     Mutant("reference_loop_reuses_caller_state", "src/barriersmc/simkernel.py",
            "control, state = c.spec.control, ControllerState()",

@@ -54,9 +54,11 @@ trajectory CSV and plot-data code), and `pickle` inside `_fork_map`, so
 that loading and checking a config, as `barriersmc validate` does,
 loads neither.
 
-A simulation that diverges or whose disturbance exceeds d_bar does not
-raise out of `run_experiment` or `sweep`: it becomes the `error` of its
-result row, an `ExperimentResult` or a `SweepRow`.
+`run_experiment` is the one code path that simulates and evaluates an
+experiment: `run_batch` calls it once per spec, and `sweep` once per grid
+point. A simulation that diverges or whose disturbance exceeds d_bar does
+not raise out of it: it becomes the `error` of the `ExperimentResult`, and
+a `sweep` point with an error is an infeasible `SweepRow` that carries it.
 
 Work split over the CPUs
 ------------------------
@@ -737,13 +739,14 @@ def _check_expectations(spec: ExperimentSpec, traj: Trajectory,
     return tuple(failures)
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, column=None, tbg=None) -> ExperimentResult:
     """Simulate one spec and evaluate its analysis requests. A divergence
     or a disturbance-bound violation is returned as the result's error; a
     chattering window that holds fewer than two samples gives no total
-    variation."""
+    variation. `column` and `tbg` go to `simulate`, which states what they
+    must equal."""
     try:
-        traj = simulate(Controller(spec.controller), spec.disturbance, spec.sim)
+        traj = simulate(Controller(spec.controller), spec.disturbance, spec.sim, column, tbg)
     except (SimulationDiverged, DisturbanceBoundError) as exc:
         # only a divergence carries a partial trajectory
         return ExperimentResult(spec, getattr(exc, "trajectory", None), None, None,
@@ -835,10 +838,14 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
           target_sigma: float, u_budget: float) -> List[SweepRow]:
     """Evaluate (rho, lam) grid points on the base experiment: predicted
     ultimate bound, peak |u|, convergence time into the target band.
-    Feasible points (bound <= target and peak within budget) rank first,
-    ordered by convergence time. A point whose simulation diverges, or
-    whose disturbance exceeds d_bar, is an infeasible row with no
-    convergence time, an infinite peak |u| and the failure as its error;
+    Each point runs through `run_experiment`, as the base with the point's
+    gain law, the target as its sigma_target (none when the target is not
+    positive) and no expectations; the disturbance column and the TBG
+    columns are computed once for all points. Feasible points (bound <=
+    target and peak within budget) rank first, ordered by convergence
+    time. A point whose experiment has an error (its simulation diverges,
+    or its disturbance exceeds d_bar) is an infeasible row with no
+    convergence time, an infinite peak |u| and that error as its own;
     such rows keep their grid order. A non-finite
     target or budget, or a grid point with no valid law or no finite bound,
     is a ConfigError that names it, raised before anything is simulated."""
@@ -859,20 +866,20 @@ def sweep(base: ExperimentSpec, grid: Sequence[Tuple[float, float]],
         except ValueError as exc:  # GainRangeError included
             raise ConfigError(f"grid point rho={rho!r}, lam={lam!r}: {exc}") from None
         points.append((rho, lam, law, bound))
+    # a non-positive target admits no real sliding band at all
+    spec = replace(base, expect=_NO_EXPECTATIONS,
+                   sigma_target=target_sigma if target_sigma > 0 else None)
     s0, h, n = base.sim.s0, base.sim.h, n_steps(base.sim)  # shared by every point
     column, tbg = base.disturbance.sample(h, n), base.controller.tbg_columns(s0, h, n)
 
     def evaluate(point) -> SweepRow:
         rho, lam, law, bound = point
-        ctrl = replace(base.controller, law=law)
-        try:
-            traj = simulate(Controller(ctrl), base.disturbance, base.sim, column, tbg)
-        except (SimulationDiverged, DisturbanceBoundError) as exc:
-            return SweepRow(rho, lam, bound, math.inf, None, False, error=str(exc))
-        peak_u = float(abs(traj.u_applied).max())
-        # a non-positive target admits no real sliding band at all
-        t_conv = (analysis.convergence_time(traj, target_sigma).t_conv
-                  if target_sigma > 0 else None)
+        result = run_experiment(replace(spec, controller=replace(base.controller, law=law)),
+                                column, tbg)
+        if result.error is not None:
+            return SweepRow(rho, lam, bound, math.inf, None, False, error=result.error)
+        peak_u = float(abs(result.trajectory.u_applied).max())
+        t_conv = result.report.t_conv if result.report else None
         feasible = bound <= target_sigma and peak_u <= u_budget
         return SweepRow(rho, lam, bound, peak_u, t_conv, feasible)
 

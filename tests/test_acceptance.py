@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion prints one PASS/FAIL line.
 
-Criteria 1-9 replay the two bundled experiment campaigns; criterion 10 is
-a set of randomized property suites at 1000 cases each; criterion 12 runs
-the classical adaptive law on criterion 7's plant for contrast.
+Criteria 1-9 replay the two bundled experiment campaigns, and criteria 1,
+3, 4, 6 and 7 hold again with the sec7 step halved and quartered;
+criterion 10 is a set of randomized property suites at 1000 cases each;
+criterion 12 runs the classical adaptive law on criterion 7's plant for
+contrast.
 """
 
 import dataclasses
@@ -80,22 +82,67 @@ def sec3():
             for s in experiment.load_config(SEC3)}
 
 
-@pytest.fixture(scope="module")
-def relay_baseline(sec7):
-    spec = sec7["cv"].spec
+def fixed_relay(spec):
+    """The fixed-gain relay that criterion 7 contrasts, on a spec's plant run."""
     return simulate(Controller(FixedSign(5.0)), spec.disturbance, spec.sim)
 
 
+@pytest.fixture(scope="module")
+def relay_baseline(sec7):
+    return fixed_relay(sec7["cv"].spec)
+
+
+# Criteria 1, 3, 4, 6 and 7 on a sec7 campaign, as (ok, detail): their
+# tests judge the bundled campaign, and `test_verdicts_hold_at_finer_steps`
+# the same campaign at h/2 and h/4, by the same thresholds.
+
+def ultimate_bounds(sec7):
+    ok = all(res.report.t_conv is not None and res.report.sigma_measured <= BAND
+             for res in sec7.values())
+    return ok, "; ".join(f"{name}: t_conv={res.report.t_conv}, "
+                         f"sigma={res.report.sigma_measured:.3e}" for name, res in sec7.items())
+
+
+def convex_faster(sec7):
+    cc, cv = sec7["cc"], sec7["cv"]
+    t_cv, t_cc = cv.report.t_conv, cc.report.t_conv
+    ok = t_cv is not None and (t_cc is None or t_cv < t_cc)
+    return ok, (f"t_cv={t_cv} (bound {reach_bound(cv):.4f}), "
+                f"t_cc={t_cc} (bound {reach_bound(cc):.4f})")
+
+
+def prescribed_time(sec7):
+    traj = sec7["tbg"].trajectory
+    allow = SIGMA_NOMINAL + DELTA / (1 + DELTA) + SLACK
+    tail = np.abs(traj.s[traj.t >= 2.05])
+    ok = tail.max() <= allow and traj.u_commanded[0] == 0.0
+    return ok, f"max|s| after 2.05s = {tail.max():.3e}, u(0) = {traj.u_commanded[0]}"
+
+
+def no_overestimation(sec7):
+    # each run takes its settled gain peak past its own band, which is BAND
+    # None: no sample after the band and its settle pad
+    peaks = {name: res.gain_max_post for name, res in sec7.items()}
+    ok = all(peak is not None and peak <= D_BAR + 0.05 for peak in peaks.values())
+    return ok, "; ".join(f"{name}: worst gain {'none' if peak is None else f'{peak:.3f}'}"
+                         for name, peak in peaks.items())
+
+
+def chattering_mitigated(sec7, relay):
+    window = (8.0, 10.0)
+    tv_cv = analysis.total_variation(sec7["cv"].trajectory, window)
+    tv_relay = analysis.total_variation(relay, window)
+    # u tracks -d: the disturbance's own variation over the window, for scale
+    traj = sec7["cv"].trajectory
+    tv_d = analysis.total_variation(dataclasses.replace(traj, u_applied=traj.d), window)
+    ok = tv_cv < 0.05 * tv_relay
+    return ok, f"TV barrier={tv_cv:.3f}, TV relay={tv_relay:.1f}, TV(d)={tv_d:.3f}"
+
+
 def test_criterion_1_ultimate_bounds(sec7):
-    ok = True
-    details = []
     for name, res in sec7.items():
         assert res.spec.sigma_target == BAND, name
-        rep = res.report
-        good = rep.t_conv is not None and rep.sigma_measured <= BAND
-        ok = ok and good
-        details.append(f"{name}: t_conv={rep.t_conv}, sigma={rep.sigma_measured:.3e}")
-    verdict(1, ok, "; ".join(details))
+    verdict(1, *ultimate_bounds(sec7))
 
 
 def test_criterion_2_closed_form_bounds():
@@ -115,19 +162,11 @@ def test_criterion_3_convex_converges_faster(sec7):
     k_cc = eval_gain(cc.spec.controller.law, sigma_c)
     k_cv = eval_gain(cv.spec.controller.law, sigma_c)
     assert abs(k_cc - k_cv) <= 0.01 * max(k_cc, k_cv), (k_cc, k_cv)
-    t_cv, t_cc = cv.report.t_conv, cc.report.t_conv
-    ok = t_cv is not None and (t_cc is None or t_cv < t_cc)
-    verdict(3, ok, f"t_cv={t_cv} (bound {reach_bound(cv):.4f}), "
-                   f"t_cc={t_cc} (bound {reach_bound(cc):.4f})")
+    verdict(3, *convex_faster(sec7))
 
 
 def test_criterion_4_prescribed_time(sec7):
-    traj = sec7["tbg"].trajectory
-    allow = SIGMA_NOMINAL + DELTA / (1 + DELTA) + SLACK
-    tail = np.abs(traj.s[traj.t >= 2.05])
-    ok = tail.max() <= allow and traj.u_commanded[0] == 0.0
-    verdict(4, ok, f"max|s| after 2.05s = {tail.max():.3e}, u(0) = "
-                   f"{traj.u_commanded[0]}")
+    verdict(4, *prescribed_time(sec7))
 
 
 def test_criterion_5_saturation_contrast(sec3):
@@ -148,26 +187,13 @@ def test_criterion_5_saturation_contrast(sec3):
 
 
 def test_criterion_6_no_overestimation(sec7):
-    # each run takes its settled gain peak past its own band, which is BAND
-    ok = True
-    details = []
     for name, res in sec7.items():
         assert res.spec.sigma_target == BAND, name
-        peak = res.gain_max_post  # None: no sample after the band and its settle pad
-        ok = ok and peak is not None and peak <= D_BAR + 0.05
-        details.append(f"{name}: worst gain {'none' if peak is None else f'{peak:.3f}'}")
-    verdict(6, ok, "; ".join(details))
+    verdict(6, *no_overestimation(sec7))
 
 
 def test_criterion_7_chattering_mitigated(sec7, relay_baseline):
-    window = (8.0, 10.0)
-    tv_cv = analysis.total_variation(sec7["cv"].trajectory, window)
-    tv_relay = analysis.total_variation(relay_baseline, window)
-    # u tracks -d: the disturbance's own variation over the window, for scale
-    traj = sec7["cv"].trajectory
-    tv_d = analysis.total_variation(dataclasses.replace(traj, u_applied=traj.d), window)
-    ok = tv_cv < 0.05 * tv_relay
-    verdict(7, ok, f"TV barrier={tv_cv:.3f}, TV relay={tv_relay:.1f}, TV(d)={tv_d:.3f}")
+    verdict(7, *chattering_mitigated(sec7, relay_baseline))
 
 
 def test_criterion_8_saturated_time_bound(sec7):
@@ -217,6 +243,28 @@ def test_criterion_12_classical_law_overestimates(sec7):
                     f"peak over t >= 8 = {peak:.4f} ({peak / D_BAR:.2f} d_bar); "
                     + "; ".join(f"{name}: {'none' if g is None else f'{g / D_BAR:.3f}'} d_bar"
                                 for name, g in settled.items()))
+
+
+def test_verdicts_hold_at_finer_steps(sec7):
+    # the proofs are in continuous time: the verdicts must not hang on
+    # h = 1 ms. The campaign reruns at h/2 and h/4, t_end and band unchanged.
+    campaigns = {1: sec7}
+    for f in (2, 4):
+        campaigns[f] = {name: experiment.run_experiment(dataclasses.replace(
+            res.spec, sim=dataclasses.replace(res.spec.sim, h=res.spec.sim.h / f)))
+            for name, res in sec7.items()}
+    for name in sec7:  # t_conv into the band, then TV(u) over [8, 10]
+        cells = [(runs[name].spec.sim.h, runs[name].report.t_conv,
+                  analysis.total_variation(runs[name].trajectory, (8.0, 10.0)))
+                 for runs in campaigns.values()]
+        print(f"[acceptance] {name}: " + " | ".join(
+            f"h = {h:g}: {'none' if t is None else f'{t:.5f}'}, {tv:.3f}" for h, t, tv in cells))
+    for f in (2, 4):
+        runs = campaigns[f]
+        for criterion, check in ((1, ultimate_bounds), (3, convex_faster), (4, prescribed_time),
+                                 (6, no_overestimation)):
+            verdict(f"{criterion} at h/{f}", *check(runs))
+        verdict(f"7 at h/{f}", *chattering_mitigated(runs, fixed_relay(runs["cv"].spec)))
 
 
 # --- criterion 10: property suites, 1000 randomized cases each -------------

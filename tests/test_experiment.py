@@ -693,19 +693,27 @@ class TestSweep:
             sweep(self.base(), [], 1e-3, 10.0)
 
     def test_tbg_columns_are_built_once_per_base(self, monkeypatch, cpus):
+        # and the disturbance sampled once: a point that sampled it again
+        # would give the same bytes, only slower
         cpus(1)  # every grid point in this process, where the calls are counted
-        calls = []
-        tbg_columns = TbgIntegral.tbg_columns
+        calls, samples = [], []
+        tbg_columns, sample = TbgIntegral.tbg_columns, DisturbanceSpec.sample
 
         def counting_columns(spec, s0, h, n):
             calls.append((s0, h, n))
             return tbg_columns(spec, s0, h, n)
 
+        def counting_sample(spec, h, n):
+            samples.append((h, n))
+            return sample(spec, h, n)
+
         monkeypatch.setattr(TbgIntegral, "tbg_columns", counting_columns)
+        monkeypatch.setattr(DisturbanceSpec, "sample", counting_sample)
         base = [s for s in load_config(SEC7) if s.name == "tbg"][0]
         grid = [(rho, lam) for rho in (1.0, 2.0, 5.0) for lam in (0.03, 0.05, 0.1)]
         assert len(sweep(base, grid, 3.52e-3, 10.0)) == 9
         assert calls == [(base.sim.s0, base.sim.h, n_steps(base.sim))]
+        assert samples == [(base.sim.h, n_steps(base.sim))]
 
 
 class TestEmitPlotData:
